@@ -5,6 +5,8 @@ keep derivative inference exact by construction, and reduce the weight
 prior to a diagonal precision.
 """
 
+import logging
+
 from .basis import (
     DesignBlock,
     KnotSet,
@@ -63,3 +65,6 @@ from .prior import (
 )
 
 __version__ = "0.1.0"
+
+# the library logs through "osplines" and leaves output to the application
+logging.getLogger("osplines").addHandler(logging.NullHandler())

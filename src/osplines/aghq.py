@@ -10,6 +10,7 @@ excludes the mode itself.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ from scipy import optimize
 from scipy.special import logsumexp
 
 from .errors import IterationError
+
+log = logging.getLogger("osplines")
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,7 @@ class AdaptedGrid:
     log_adjust: np.ndarray
     weights: np.ndarray
     log_normconst: float
+    states: list
 
 
 def _fd_hessian(fun, x, step=1e-3):
@@ -56,16 +60,26 @@ def _fd_hessian(fun, x, step=1e-3):
 def adapt_quadrature(log_post, theta0, num_quad: int, maxiter: int = 2000) -> AdaptedGrid:
     """Optimize ``log_post``, adapt a GH product grid, normalize its weights.
 
-    ``log_post`` maps a length-d array to a float; ``num_quad`` is the node
-    count per dimension.  Weights are the posterior masses of the grid points
-    (they sum to one); ``log_normconst`` estimates log of the integral of
-    exp(log_post).
+    ``log_post`` maps a length-d array to ``(value, state)``, the state being
+    whatever it built on the way (a Laplace approximation, a Cholesky factor);
+    ``num_quad`` is the node count per dimension.  Each distinct theta the
+    optimizer and the finite-difference Hessian request is evaluated once and
+    only its value kept; every grid point is evaluated afresh and its state
+    returned in ``states``.  Weights are the posterior masses of the grid
+    points (they sum to one); ``log_normconst`` estimates log of the integral
+    of exp(log_post).  An optimizer that stops without converging is logged
+    as a warning on the ``osplines`` logger.
     """
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     d = theta0.size
+    memo: dict[tuple, float] = {}
 
     def neg(th):
-        return -log_post(np.asarray(th, dtype=float))
+        th = np.asarray(th, dtype=float)
+        key = tuple(th.tolist())
+        if key not in memo:
+            memo[key] = log_post(th)[0]
+        return -memo[key]
 
     res = optimize.minimize(
         neg,
@@ -75,6 +89,11 @@ def adapt_quadrature(log_post, theta0, num_quad: int, maxiter: int = 2000) -> Ad
     )
     if not np.all(np.isfinite(res.x)):
         raise IterationError(f"hyperparameter optimization failed: {res.message}")
+    if not res.success:
+        log.warning(
+            "hyperparameter optimization did not converge after %d evaluations: %s",
+            res.nfev, res.message,
+        )
     mode = np.atleast_1d(res.x.astype(float))
 
     neg_hess = _fd_hessian(neg, mode)
@@ -100,7 +119,8 @@ def adapt_quadrature(log_post, theta0, num_quad: int, maxiter: int = 2000) -> Ad
     )
     points = mode + np.sqrt(2.0) * z @ chol_cov.T
 
-    values = np.array([log_post(pt) for pt in points])
+    values, states = zip(*(log_post(pt) for pt in points))
+    values = np.array(values)
     log_unnorm = values + log_adjust
     log_normconst = float(logsumexp(log_unnorm))
     weights = np.exp(log_unnorm - log_normconst)
@@ -114,4 +134,5 @@ def adapt_quadrature(log_post, theta0, num_quad: int, maxiter: int = 2000) -> Ad
         log_adjust=log_adjust,
         weights=weights,
         log_normconst=log_normconst,
+        states=list(states),
     )

@@ -25,17 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _require
 
 # Practical process orders are small; a fixed factorial table avoids any
 # overflow policy for huge p.
 MAX_ORDER = 20
 _FACT = np.array([math.factorial(i) for i in range(MAX_ORDER + 2)], dtype=float)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidArgumentError(message)
 
 
 @dataclass(frozen=True)
@@ -190,18 +185,7 @@ def basis_eval(basis: OSplineBasis, i: int, x: float, q: int = 0) -> float:
     _require(1 <= i <= ks.size, f"basis index {i} outside 1..{ks.size}")
     _require(0 <= q <= p, f"derivative order {q} exceeds basis order {p}")
     _require(x >= ks.region_start, f"location {x} left of region start {ks.region_start}")
-    lo = ks.lower_knots[i - 1]
-    hi = ks.knots[i - 1]
-    d = hi - lo
-    r = p - q
-    if x <= lo:
-        return 0.0
-    if r == 0:
-        return 1.0 if x <= hi else 0.0
-    if x <= hi:
-        return float((x - lo) ** r / _FACT[r])
-    z = x - hi
-    return float(sum(d**m * z ** (r - m) / (_FACT[m] * _FACT[r - m]) for m in range(1, r + 1)))
+    return float(_basis_columns(basis, np.array([x], dtype=float), q)[0, i - 1])
 
 
 def design_matrix(basis: OSplineBasis, xs, q: int = 0) -> DesignBlock:

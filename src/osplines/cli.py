@@ -30,6 +30,7 @@ from .inference import (
 )
 from .prior import ExponentialPrior, PSDSpec, prior_from_psd, psd_to_sigma, sigma_to_psd
 from .simbench import (
+    _fmt,
     load_config_file,
     make_config,
     run_benchmark_study,
@@ -110,12 +111,6 @@ def _is_float(v) -> bool:
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
 
 
 def _psd_args(parser):
@@ -200,16 +195,10 @@ def cmd_fit(args) -> int:
     files = []
 
     for q in derivs:
-        curve = posterior_function(fit, grid, q)
-        path = out / f"curve_q{q}.csv"
-        write_csv(
-            path, ["x", "q", "mean", "sd", "lower", "upper"],
-            list(zip(curve.xs, [q] * grid.size, curve.mean, curve.sd, curve.lower, curve.upper)),
-        )
-        files.append(path)
-        if args.exp_transform and q in (0, 1):
-            curve = posterior_function(fit, grid, q, transform="exp")
-            path = out / f"curve_q{q}_exp.csv"
+        transforms = [None, "exp"] if args.exp_transform and q in (0, 1) else [None]
+        for transform in transforms:
+            curve = posterior_function(fit, grid, q, transform=transform)
+            path = out / f"curve_q{q}{'_exp' if transform else ''}.csv"
             write_csv(
                 path, ["x", "q", "mean", "sd", "lower", "upper"],
                 list(zip(curve.xs, [q] * grid.size, curve.mean, curve.sd, curve.lower, curve.upper)),
@@ -255,7 +244,6 @@ def cmd_fit(args) -> int:
         "knots": args.knots,
         "quad": args.quad,
         "samples": args.samples,
-        "threads": args.threads,
         "region": [float(x.min()), float(x.max())],
         "log_marginal": fit.log_marginal,
         "theta_weights": fit.weights.tolist(),
@@ -399,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--exp-transform", action="store_true",
                      help="also report exp(g) and g'*exp(g)")
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--threads", type=int, default=1)
     fit.add_argument("--out", required=True)
     fit.set_defaults(func=cmd_fit)
 

@@ -23,3 +23,9 @@ class NumericError(OsplineError, RuntimeError):
 
 class IterationError(NumericError):
     """An iterative procedure did not converge within its budget."""
+
+
+def _require(condition: bool, message: str) -> None:
+    """Raise :class:`InvalidArgumentError` with ``message`` unless ``condition``."""
+    if not condition:
+        raise InvalidArgumentError(message)

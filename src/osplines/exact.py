@@ -30,12 +30,7 @@ from scipy import integrate, linalg
 
 from .aghq import adapt_quadrature
 from .basis import MAX_ORDER, OSplineBasis, _basis_columns
-from .errors import InvalidArgumentError, NumericError
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidArgumentError(message)
+from .errors import NumericError, _require
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +300,15 @@ def _poly_cov_matrix(s, t, q1: int, q2: int, taus: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _condition(chol, alpha, cross):
+    """Conditional mean ``cross @ alpha`` and ``half = L^-1 cross^T``.
+
+    ``chol`` factors the observation covariance, ``alpha`` solves it against
+    the data; the conditional covariance is the prior less ``half.T @ half``.
+    """
+    return cross @ alpha, linalg.solve_triangular(chol[0], cross.T, lower=True)
+
+
 @dataclass(frozen=True)
 class GPFitResult:
     """Posterior summaries of a dense GP fit at the requested (x, q) pairs."""
@@ -367,8 +371,7 @@ def exact_gp_fit(
             sds[idx] = np.sqrt(prior_var)
             continue
         kx = kernel.cov_matrix(xq, xs, qq, 0) + _poly_cov_matrix(xq, xs, qq, 0, taus)
-        means[idx] = kx @ alpha
-        half = linalg.solve_triangular(chol[0], kx.T, lower=True)
+        means[idx], half = _condition(chol, alpha, kx)
         var = prior_var - np.sum(half**2, axis=0)
         sds[idx] = np.sqrt(np.maximum(var, 0.0))
     return GPFitResult(predict_at=tuple(pts), means=means, sds=sds)
@@ -429,114 +432,68 @@ def exact_hierarchical_fit(
     _require(all(0 <= q < order for q in derivs), "derivative orders must lie in 0..p-1")
 
     n = xs.size
+    npred = predict_x.size
     kern_unit = IWPKernel(order, 1.0)
     kw_obs = kern_unit.cov_matrix(xs, xs)
     poly_obs = _poly_cov_matrix(xs, xs, 0, 0, taus)
     noise = noise_sd**2 * np.eye(n)
 
-    kw_cross = {q: kern_unit.cov_matrix(predict_x, xs, q, 0) for q in derivs}
-    poly_cross = {q: _poly_cov_matrix(predict_x, xs, q, 0, taus) for q in derivs}
-    kw_pred = {q: np.diag(kern_unit.cov_matrix(predict_x, predict_x, q, q)) for q in derivs}
-    poly_pred = {q: np.diag(_poly_cov_matrix(predict_x, predict_x, q, q, taus)) for q in derivs}
-
-    chol_cache: dict[float, tuple] = {}
+    # the targets stack one block of predict_x per derivative, in derivs order
+    kw_cross = np.vstack([kern_unit.cov_matrix(predict_x, xs, q, 0) for q in derivs])
+    poly_cross = np.vstack([_poly_cov_matrix(predict_x, xs, q, 0, taus) for q in derivs])
+    kw_pred = np.concatenate(
+        [np.diag(kern_unit.cov_matrix(predict_x, predict_x, q, q)) for q in derivs]
+    )
+    poly_pred = np.concatenate(
+        [np.diag(_poly_cov_matrix(predict_x, predict_x, q, q, taus)) for q in derivs]
+    )
 
     def obs_cov(sig2: float) -> np.ndarray:
         return poly_obs + sig2 * kw_obs + noise
 
-    def log_post(theta) -> float:
+    def log_post(theta):
         sigma = float(np.exp(theta[0]))
-        key = theta[0].item() if hasattr(theta[0], "item") else float(theta[0])
-        if key not in chol_cache:
-            cov = obs_cov(sigma**2)
-            try:
-                chol = linalg.cho_factor(cov, lower=True)
-            except linalg.LinAlgError:
-                raise NumericError(
-                    "exact-comparator observation covariance failed to factorize"
-                )
-            chol_cache[key] = chol
-        chol = chol_cache[key]
+        try:
+            chol = linalg.cho_factor(obs_cov(sigma**2), lower=True)
+        except linalg.LinAlgError:
+            raise NumericError(
+                "exact-comparator observation covariance failed to factorize"
+            )
         alpha = linalg.cho_solve(chol, ys)
         logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
         loglik = -0.5 * ys @ alpha - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
-        return float(loglik + sigma_prior.log_pdf(sigma) + theta[0])
+        return float(loglik + sigma_prior.log_pdf(sigma) + theta[0]), (chol, alpha)
 
     theta0 = np.array([np.log(sigma_prior.median)])
     grid = adapt_quadrature(log_post, theta0, num_quad)
 
     sigmas = np.exp(grid.points[:, 0])
     weights = grid.weights
-    m = sigmas.size
-
-    means = {q: np.zeros(predict_x.size) for q in derivs}
-    second = {q: np.zeros(predict_x.size) for q in derivs}
-    cns = np.empty(m)
-    for j, sigma in enumerate(sigmas):
-        cov = obs_cov(sigma**2)
-        chol = linalg.cho_factor(cov, lower=True)
-        alpha = linalg.cho_solve(chol, ys)
-        eigs = np.linalg.eigvalsh(cov)
-        cns[j] = np.inf if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
-        for q in derivs:
-            kx = poly_cross[q] + sigma**2 * kw_cross[q]
-            mq = kx @ alpha
-            half = linalg.solve_triangular(chol[0], kx.T, lower=True)
-            vq = np.maximum(poly_pred[q] + sigma**2 * kw_pred[q] - np.sum(half**2, axis=0), 0.0)
-            means[q] += weights[j] * mq
-            second[q] += weights[j] * (vq + mq**2)
-    sds = {q: np.sqrt(np.maximum(second[q] - means[q] ** 2, 0.0)) for q in derivs}
-
-    fit = ExactHierarchicalFit(
-        order=order,
-        xs=predict_x,
-        derivs=derivs,
-        sigma_grid=sigmas,
-        weights=weights,
-        log_marginal=grid.log_normconst,
-        kappa_max=float(np.max(cns)),
-        condition_numbers=cns,
-        means=means,
-        sds=sds,
-    )
+    counts = np.random.default_rng([seed, 3]).multinomial(num_samples, weights)
     if num_samples > 0:
-        fit.sample_curves = _sample_exact_curves(
-            order, xs, ys, noise_sd, taus, predict_x, derivs, sigmas, weights,
-            kw_obs, poly_obs, noise, num_samples, seed,
-        )
-    return fit
+        kw_joint = np.block([
+            [kern_unit.cov_matrix(predict_x, predict_x, qi, qj) for qj in derivs]
+            for qi in derivs
+        ])
+        poly_joint = np.block([
+            [_poly_cov_matrix(predict_x, predict_x, qi, qj, taus) for qj in derivs]
+            for qi in derivs
+        ])
 
-
-def _sample_exact_curves(
-    order, xs, ys, noise_sd, taus, predict_x, derivs, sigmas, weights,
-    kw_obs, poly_obs, noise, num_samples, seed,
-):
-    """Joint posterior draws of all derivative curves, mixed over the grid."""
-    kern_unit = IWPKernel(order, 1.0)
-    npred = predict_x.size
-    nq = len(derivs)
-    kw_cross = np.vstack([kern_unit.cov_matrix(predict_x, xs, q, 0) for q in derivs])
-    poly_cross = np.vstack([_poly_cov_matrix(predict_x, xs, q, 0, taus) for q in derivs])
-    kw_joint = np.block([
-        [kern_unit.cov_matrix(predict_x, predict_x, qi, qj) for qj in derivs] for qi in derivs
-    ])
-    poly_joint = np.block([
-        [_poly_cov_matrix(predict_x, predict_x, qi, qj, taus) for qj in derivs] for qi in derivs
-    ])
-
-    rng = np.random.default_rng([seed, 3])
-    counts = rng.multinomial(num_samples, weights)
-    draws = np.empty((num_samples, nq * npred))
+    mean = np.zeros(kw_cross.shape[0])
+    second = np.zeros(kw_cross.shape[0])
+    draws = np.empty((num_samples, kw_cross.shape[0]))
+    cns = np.empty(sigmas.size)
     row = 0
-    for j, sigma in enumerate(sigmas):
+    for j, (sigma, (chol, alpha)) in enumerate(zip(sigmas, grid.states)):
+        eigs = np.linalg.eigvalsh(obs_cov(sigma**2))
+        cns[j] = np.inf if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
+        mj, half = _condition(chol, alpha, poly_cross + sigma**2 * kw_cross)
+        vj = np.maximum(poly_pred + sigma**2 * kw_pred - np.sum(half**2, axis=0), 0.0)
+        mean += weights[j] * mj
+        second += weights[j] * (vj + mj**2)
         if counts[j] == 0:
             continue
-        cov = poly_obs + sigma**2 * kw_obs + noise
-        chol = linalg.cho_factor(cov, lower=True)
-        alpha = linalg.cho_solve(chol, ys)
-        kx = poly_cross + sigma**2 * kw_cross
-        mean = kx @ alpha
-        half = linalg.solve_triangular(chol[0], kx.T, lower=True)
         post_cov = poly_joint + sigma**2 * kw_joint - half.T @ half
         # the subtraction cancels prior-scale terms, leaving symmetric noise
         # well above the smallest true eigenvalues; escalate a diagonal
@@ -557,8 +514,22 @@ def _sample_exact_curves(
                 "joint predictive covariance failed to factorize "
                 f"(n={xs.size}, sigma={sigma:.3g})"
             )
-        child = np.random.default_rng([seed, 4, j])
-        z = child.standard_normal((counts[j], nq * npred))
-        draws[row : row + counts[j]] = mean + z @ lpost.T
+        z = np.random.default_rng([seed, 4, j]).standard_normal((counts[j], post_cov.shape[0]))
+        draws[row : row + counts[j]] = mj + z @ lpost.T
         row += counts[j]
-    return {q: draws[:, i * npred : (i + 1) * npred] for i, q in enumerate(derivs)}
+    sd = np.sqrt(np.maximum(second - mean**2, 0.0))
+
+    blocks = {q: slice(i * npred, (i + 1) * npred) for i, q in enumerate(derivs)}
+    return ExactHierarchicalFit(
+        order=order,
+        xs=predict_x,
+        derivs=derivs,
+        sigma_grid=sigmas,
+        weights=weights,
+        log_marginal=grid.log_normconst,
+        kappa_max=float(np.max(cns)),
+        condition_numbers=cns,
+        means={q: mean[b] for q, b in blocks.items()},
+        sds={q: sd[b] for q, b in blocks.items()},
+        sample_curves={q: draws[:, b] for q, b in blocks.items()} if num_samples > 0 else {},
+    )

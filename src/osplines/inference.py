@@ -30,17 +30,12 @@ from scipy.special import gammaln
 
 from .aghq import adapt_quadrature
 from .basis import DesignBlock, OSplineBasis, design_matrix, polynomial_design
-from .errors import InvalidArgumentError, IterationError, NumericError
+from .errors import IterationError, NumericError, _require
 from .prior import ExponentialPrior
 
 FAMILIES = ("gaussian", "poisson", "poisson_od")
 
 DEFAULT_POLY_PRIOR_SD = math.sqrt(1000.0)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidArgumentError(message)
 
 
 @dataclass
@@ -121,12 +116,10 @@ class LatentModel:
         self.n_poly = self.poly_design.shape[1]
         self.n_fixed = 0 if self.fixed_design is None else self.fixed_design.shape[1]
         self.latent_dim = self._X.shape[1]
-        if self.family == "poisson":
-            self._lik_const = -float(np.sum(gammaln(self.response + 1.0)))
-        elif self.family == "poisson_od":
-            self._lik_const = -float(np.sum(gammaln(self.response + 1.0)))
-        else:
+        if self.family == "gaussian":
             self._lik_const = -0.5 * n * math.log(2.0 * math.pi)
+        else:
+            self._lik_const = -float(np.sum(gammaln(self.response + 1.0)))
 
         names = []
         if self.sigma_prior is not None:
@@ -413,35 +406,28 @@ def aghq_fit(
     if basis is None:
         basis = model.basis
 
-    cache: dict[tuple, GaussianApprox] = {}
-    warm = {"mode": None}
+    warm = None
 
-    def log_post(theta) -> float:
-        key = tuple(np.atleast_1d(theta).tolist())
-        approx = cache.get(key)
-        if approx is None:
-            approx = newton_mode(model, theta, init=warm["mode"])
-            warm["mode"] = approx.mode
-            cache[key] = approx
-        return laplace_log_marginal(model, theta, approx=approx)
+    def log_post(theta):
+        # warm-started from the last mode: neighbouring thetas share most of it
+        nonlocal warm
+        approx = newton_mode(model, theta, init=warm)
+        warm = approx.mode
+        return laplace_log_marginal(model, theta, approx=approx), approx
 
     if len(model.theta_names) == 0:
-        approx = newton_mode(model, ())
+        log_marg, approx = log_post(())
         points = np.zeros((1, 0))
         weights = np.ones(1)
         approxes = [approx]
-        log_marg = laplace_log_marginal(model, (), approx=approx)
     else:
         grid = adapt_quadrature(log_post, model.theta_start(), num_quad)
         points = grid.points
         weights = grid.weights
-        approxes = [cache[tuple(pt.tolist())] for pt in points]
+        approxes = grid.states
         log_marg = grid.log_normconst
 
-    rng = np.random.default_rng([seed, 1])
-    counts = rng.multinomial(num_samples, weights) if num_samples > 0 else np.zeros(
-        len(weights), dtype=int
-    )
+    counts = np.random.default_rng([seed, 1]).multinomial(num_samples, weights)
     samples = np.empty((num_samples, model.latent_dim))
     point_index = np.repeat(np.arange(len(weights)), counts)
     row = 0

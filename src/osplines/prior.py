@@ -20,13 +20,8 @@ import mpmath
 import numpy as np
 
 from .basis import MAX_ORDER
-from .errors import InvalidArgumentError, NumericError
+from .errors import NumericError, _require
 from .exact import IWPKernel, _wp_cov_mp
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidArgumentError(message)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .basis import OSplineBasis, build_equal_knots
-from .errors import InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError, _require
 from .exact import IWPKernel, exact_hierarchical_fit, ospline_cov_matrix
 from .inference import (
     aghq_fit,
@@ -32,11 +32,6 @@ from .inference import (
     posterior_moments,
 )
 from .prior import PSDSpec, prior_from_psd
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidArgumentError(message)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,19 @@ These deliberately avoid the closed-form code paths they certify: basis
 functions are rebuilt by numerically integrating the raw test-function
 indicator, joint densities are re-summed scalar by scalar, and marginal
 likelihoods are integrated with dense quadrature over the full latent space.
+The dense exact-process posterior is conditioned point by point and order by
+order, as the comparator once did, so its consolidated path has a reference.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, linalg
 from scipy.special import gammaln, logsumexp
 
 from osplines.basis import KnotSet, test_function_eval
+from osplines.exact import IWPKernel, _poly_cov_matrix
 from osplines.inference import LatentModel, newton_mode
 
 
@@ -165,3 +168,42 @@ def gaussian_marginal_exact(model: LatentModel, theta=()) -> float:
     if model.family_hyper_prior is not None:
         val += model.family_hyper_prior.log_pdf(kappa) + theta[pos]
     return float(val)
+
+
+def exact_mixture_moments(order, xs, ys, noise_sd, poly_prior_sd, predict_x, derivs,
+                          sigma_grid, weights):
+    """Mixture means and SDs of the dense exact-process posterior over a sigma grid.
+
+    At each grid sigma the observation covariance is factorized afresh and
+    each derivative order is conditioned with its own triangular solve; the
+    per-point moments are then mixed with ``weights``.  Returns two dicts
+    keyed by derivative order.
+    """
+    xs = np.asarray(xs, dtype=float)
+    predict_x = np.asarray(predict_x, dtype=float)
+    taus = np.asarray(poly_prior_sd, dtype=float)
+    kern = IWPKernel(order, 1.0)
+    means = {q: np.zeros(predict_x.size) for q in derivs}
+    second = {q: np.zeros(predict_x.size) for q in derivs}
+    for sigma, wgt in zip(sigma_grid, weights):
+        cov = (
+            _poly_cov_matrix(xs, xs, 0, 0, taus)
+            + sigma**2 * kern.cov_matrix(xs, xs)
+            + noise_sd**2 * np.eye(xs.size)
+        )
+        chol = linalg.cho_factor(cov, lower=True)
+        alpha = linalg.cho_solve(chol, ys)
+        for q in derivs:
+            kx = _poly_cov_matrix(predict_x, xs, q, 0, taus) + sigma**2 * kern.cov_matrix(
+                predict_x, xs, q, 0
+            )
+            prior_var = np.diag(_poly_cov_matrix(predict_x, predict_x, q, q, taus)) + (
+                sigma**2 * np.diag(kern.cov_matrix(predict_x, predict_x, q, q))
+            )
+            mq = kx @ alpha
+            half = linalg.solve_triangular(chol[0], kx.T, lower=True)
+            vq = np.maximum(prior_var - np.sum(half**2, axis=0), 0.0)
+            means[q] += wgt * mq
+            second[q] += wgt * (vq + mq**2)
+    sds = {q: np.sqrt(np.maximum(second[q] - means[q] ** 2, 0.0)) for q in derivs}
+    return means, sds

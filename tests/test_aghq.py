@@ -1,0 +1,85 @@
+import logging
+
+import numpy as np
+import pytest
+
+from osplines import OSplineBasis, aghq_fit, build_equal_knots, build_model, prior_from_psd, PSDSpec
+from osplines import inference
+from osplines.aghq import adapt_quadrature
+
+
+def correlated_log_post(calls):
+    """A 2-d Gaussian log density that records each theta it is asked for."""
+    prec = np.array([[4.0, 1.0], [1.0, 2.0]])
+    centre = np.array([0.3, -0.2])
+
+    def log_post(theta):
+        calls.append(tuple(theta.tolist()))
+        dev = theta - centre
+        return -0.5 * float(dev @ prec @ dev), len(calls)
+
+    return log_post
+
+
+def test_quadrature_evaluates_each_theta_once_and_keeps_grid_states():
+    calls = []
+    grid = adapt_quadrature(correlated_log_post(calls), [0.0, 0.0], 3)
+    m = grid.points.shape[0]
+    before, after = calls[:-m], calls[-m:]
+    # the optimizer and the finite-difference Hessian ask for some thetas
+    # more than once (the mode, at least); each reaches log_post once
+    assert len(before) == len(set(before))
+    assert tuple(grid.mode.tolist()) in before
+    # every grid point is evaluated afresh, the mode included
+    assert after == [tuple(pt) for pt in grid.points.tolist()]
+    assert tuple(grid.mode.tolist()) in after
+    assert grid.states == list(range(len(before) + 1, len(calls) + 1))
+    np.testing.assert_allclose(grid.weights.sum(), 1.0)
+
+
+def test_unconverged_optimizer_is_logged(caplog):
+    with caplog.at_level(logging.WARNING, logger="osplines"):
+        adapt_quadrature(correlated_log_post([]), [0.0, 0.0], 3, maxiter=5)
+    records = [r for r in caplog.records if r.name == "osplines"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.WARNING
+    message = records[0].getMessage()
+    assert "did not converge after" in message
+    assert "Maximum number of function evaluations" in message
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="osplines"):
+        adapt_quadrature(correlated_log_post([]), [0.0, 0.0], 3)
+    assert not [r for r in caplog.records if r.name == "osplines"]
+
+
+def test_library_logger_writes_nothing_by_default():
+    handlers = logging.getLogger("osplines").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+
+def test_aghq_fit_solves_once_per_theta_and_keeps_grid_approxes(monkeypatch):
+    rng = np.random.default_rng(5)
+    xs = np.linspace(0.0, 4.0, 30)
+    ys = rng.poisson(np.exp(1.0 + np.sin(xs)))
+    basis = OSplineBasis(2, build_equal_knots(0.0, 4.0, 8))
+    model = build_model(
+        xs, ys, basis, "poisson",
+        sigma_prior=prior_from_psd(PSDSpec(h=1.0, order=2), 1.0, 0.5),
+    )
+    solved = []
+    real_newton = inference.newton_mode
+
+    def newton(model, theta=(), **kwargs):
+        approx = real_newton(model, theta, **kwargs)
+        solved.append((tuple(np.atleast_1d(theta).tolist()), approx))
+        return approx
+
+    monkeypatch.setattr(inference, "newton_mode", newton)
+    fit = aghq_fit(model, num_quad=5, num_samples=50, seed=2)
+    m = fit.theta_points.shape[0]
+    before = [theta for theta, _ in solved[:-m]]
+    assert len(before) == len(set(before))
+    assert [theta for theta, _ in solved[-m:]] == [tuple(pt) for pt in fit.theta_points.tolist()]
+    assert all(a is b for a, (_, b) in zip(fit.approxes, solved[-m:]))
+    assert fit.weights.sum() == pytest.approx(1.0)

@@ -10,14 +10,19 @@ from osplines import (
     InvalidArgumentError,
     OSplineBasis,
     OSplineKernel,
+    PSDSpec,
     build_equal_knots,
     exact_cov,
     exact_gp_fit,
+    exact_hierarchical_fit,
     integrate_cov_oracle,
     ospline_cov,
     ospline_cov_matrix,
+    prior_from_psd,
     sup_cov_error,
 )
+from osplines import exact
+from oracles import exact_mixture_moments
 
 
 def brownian(s, t):
@@ -271,6 +276,64 @@ def test_gp_fit_cholesky_failure_reports_condition_number():
     ys = np.zeros(xs.size)
     with pytest.raises(NumericError, match="condition number"):
         exact_gp_fit(kern, xs, ys, 1e-13, [1.0, 1.0, 1.0], [(1.0, 0)])
+
+
+def hierarchical_case(num_samples):
+    rng = np.random.default_rng(11)
+    xs = np.linspace(0.0, 10.0, 40)
+    ys = np.sin(xs) + rng.normal(0.0, 0.3, xs.size)
+    args = dict(
+        order=3, xs=xs, ys=ys, noise_sd=0.3, poly_prior_sd=[10.0, 10.0, 10.0],
+        predict_x=np.linspace(0.25, 9.75, 20), derivs=(0, 1, 2),
+    )
+    prior = prior_from_psd(PSDSpec(h=2.0, order=3), 1.0, 0.5)
+    fit = exact_hierarchical_fit(
+        **args, sigma_prior=prior, num_quad=7, num_samples=num_samples, seed=4
+    )
+    return args, fit
+
+
+@pytest.mark.parametrize("num_samples", [0, 400])
+def test_hierarchical_moments_match_per_point_conditioning(num_samples):
+    args, fit = hierarchical_case(num_samples)
+    want_means, want_sds = exact_mixture_moments(
+        **args, sigma_grid=fit.sigma_grid, weights=fit.weights
+    )
+    for q in args["derivs"]:
+        mean, sd = fit.moments(q)
+        scale = np.max(np.abs(want_means[q]))
+        npt.assert_allclose(mean, want_means[q], rtol=1e-10, atol=1e-10 * scale)
+        npt.assert_allclose(sd, want_sds[q], rtol=1e-10)
+    if num_samples == 0:
+        assert fit.sample_curves == {}
+        return
+    for q in args["derivs"]:
+        draws = fit.sample_curves[q]
+        assert draws.shape == (num_samples, args["predict_x"].size)
+        se = want_sds[q] / np.sqrt(num_samples)
+        assert np.all(np.abs(draws.mean(axis=0) - want_means[q]) < 5.0 * se)
+
+
+def test_hierarchical_fit_factorizes_only_inside_the_quadrature(monkeypatch):
+    counts = {"during": 0, "after": 0}
+    returned = []
+    real_adapt = exact.adapt_quadrature
+    real_cho_factor = exact.linalg.cho_factor
+
+    def adapt(*args, **kwargs):
+        grid = real_adapt(*args, **kwargs)
+        returned.append(grid)
+        return grid
+
+    def cho_factor(*args, **kwargs):
+        counts["after" if returned else "during"] += 1
+        return real_cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "adapt_quadrature", adapt)
+    monkeypatch.setattr(exact.linalg, "cho_factor", cho_factor)
+    hierarchical_case(num_samples=400)
+    assert counts["during"] > 0
+    assert counts["after"] == 0
 
 
 def test_cov_grid_tabulation_matches_kernels():
