@@ -24,7 +24,6 @@ from .inference import (
     aghq_fit,
     build_model,
     condition_number,
-    max_condition_number,
     posterior_function,
     sum_coded_design,
 )
@@ -182,9 +181,9 @@ def cmd_fit(args) -> int:
     model = build_model(
         x, y, basis, family,
         sigma_prior=sigma_prior,
-        poly_prior_sd=np.full(args.order, args.poly_sd),
+        poly_prior_sd=args.poly_sd,
         fixed_design=fixed_design,
-        fixed_prior_sd=np.full(fixed_design.shape[1], args.fixed_sd) if fixed_design is not None else None,
+        fixed_prior_sd=args.fixed_sd,
         **family_kwargs,
     )
     fit = aghq_fit(model, num_quad=args.quad, num_samples=args.samples, seed=args.seed)
@@ -206,12 +205,12 @@ def cmd_fit(args) -> int:
             files.append(path)
 
     spec = PSDSpec(h=args.psd_h, order=args.order)
+    sigmas, hypers = fit.sigmas, fit.family_hypers
     hyper_rows = []
     for j in range(fit.weights.size):
-        sigma = fit.sigmas[j]
-        row = [j, fit.weights[j], sigma, sigma_to_psd(spec, sigma)]
+        row = [j, fit.weights[j], sigmas[j], sigma_to_psd(spec, sigmas[j])]
         if model.family_hyper_prior is not None:
-            row.append(fit.family_hypers[j])
+            row.append(hypers[j])
         hyper_rows.append(row)
     hyper_header = ["point", "weight", "sigma", f"psd_h{_fmt(args.psd_h)}"]
     if model.family_hyper_prior is not None:
@@ -236,6 +235,7 @@ def cmd_fit(args) -> int:
         write_csv(path, ["effect", "mean", "sd", "lower", "upper"], rows)
         files.append(path)
 
+    conds = [condition_number(a) for a in fit.approxes]
     manifest = {
         "command": "fit",
         "seed": args.seed,
@@ -247,9 +247,9 @@ def cmd_fit(args) -> int:
         "region": [float(x.min()), float(x.max())],
         "log_marginal": fit.log_marginal,
         "theta_weights": fit.weights.tolist(),
-        "sigma_grid": fit.sigmas.tolist(),
-        "condition_numbers": [condition_number(a) for a in fit.approxes],
-        "max_condition_number": max_condition_number(fit),
+        "sigma_grid": sigmas.tolist(),
+        "condition_numbers": conds,
+        "max_condition_number": max(conds),
         "versions": {"osplines": __version__, "numpy": np.__version__},
     }
     (out / "manifest.json").write_text(

@@ -20,6 +20,7 @@ work is scheduled.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -38,15 +39,33 @@ FAMILIES = ("gaussian", "poisson", "poisson_od")
 DEFAULT_POLY_PRIOR_SD = math.sqrt(1000.0)
 
 
-@dataclass
+def _readonly(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def _prior_sds(sd, ncols: int, block: str) -> np.ndarray:
+    """One positive prior SD per column; a single value is broadcast."""
+    sd = np.atleast_1d(np.asarray(sd, dtype=float))
+    sd = np.full(ncols, sd[0]) if sd.size == 1 else sd
+    _require(sd.size == ncols, f"need one {block} prior SD per column of the {block} design")
+    _require(bool(np.all(sd > 0)), "prior SDs must be positive")
+    return _readonly(sd)
+
+
+@dataclass(frozen=True, eq=False)
 class LatentModel:
     """Response, likelihood family, design blocks and priors.
 
     Exactly one of ``sigma_prior``/``sigma_fixed`` must be given.  The
     Gaussian family needs a noise SD, either fixed (``family_hyper_fixed``)
     or on the quadrature grid (``family_hyper_prior``); the overdispersed
-    Poisson family treats the overdispersion SD the same way.  Instances are
-    treated as immutable after construction.
+    Poisson family treats the overdispersion SD the same way.  A scalar prior
+    SD is broadcast over its block.  Instances are frozen and hold read-only
+    copies of their arrays, so what is derived from the data at construction
+    (the stacked ``design``, which the blocks view, its column norms and the
+    likelihood constant) stays valid.
     """
 
     response: np.ndarray
@@ -62,30 +81,39 @@ class LatentModel:
     family_hyper_prior: Optional[ExponentialPrior] = None
     family_hyper_fixed: Optional[float] = None
     basis: Optional[OSplineBasis] = None
+    design: np.ndarray = field(init=False, repr=False)
+    _col_norms: np.ndarray = field(init=False, repr=False)
+    _lik_const: float = field(init=False, repr=False)
+    # the theta layout: (slot in split_theta's pair, name, prior) per free hyperparameter
+    _free_hypers: tuple = field(init=False, repr=False)
+
+    n_obs = property(lambda self: self.response.size)
+    n_spline = property(lambda self: self.spline_design.values.shape[1])
+    n_poly = property(lambda self: self.poly_design.shape[1])
+    n_fixed = property(lambda self: 0 if self.fixed_design is None else self.fixed_design.shape[1])
+    latent_dim = property(lambda self: self.design.shape[1])
+    theta_names = property(lambda self: tuple(name for _, name, _ in self._free_hypers))
 
     def __post_init__(self):
-        self.response = np.atleast_1d(np.asarray(self.response, dtype=float))
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("response", _readonly(np.atleast_1d(self.response)))
         n = self.response.size
         _require(self.family in FAMILIES, f"unknown family '{self.family}'")
-        _require(self.spline_design.values.shape[0] == n, "spline design row count != n")
-        self.poly_design = np.asarray(self.poly_design, dtype=float)
-        _require(self.poly_design.shape[0] == n, "polynomial design row count != n")
-        self.weight_precision_diag = np.asarray(self.weight_precision_diag, dtype=float)
+        blocks = [np.asarray(self.spline_design.values, dtype=float),
+                  np.asarray(self.poly_design, dtype=float)]
+        if self.fixed_design is not None:
+            blocks.append(np.asarray(self.fixed_design, dtype=float))
+        _require(all(b.shape[0] == n for b in blocks), "design block row count != n")
+        put("weight_precision_diag", _readonly(self.weight_precision_diag))
         _require(
-            self.weight_precision_diag.size == self.spline_design.values.shape[1],
+            self.weight_precision_diag.size == blocks[0].shape[1],
             "weight precision length != number of basis functions",
         )
-        self.poly_prior_sd = np.atleast_1d(np.asarray(self.poly_prior_sd, dtype=float))
-        _require(self.poly_prior_sd.size == self.poly_design.shape[1],
-                 "need one polynomial prior SD per column of the polynomial design")
-        _require(bool(np.all(self.poly_prior_sd > 0)), "prior SDs must be positive")
-        if self.fixed_design is not None:
-            self.fixed_design = np.asarray(self.fixed_design, dtype=float)
-            _require(self.fixed_design.shape[0] == n, "fixed-effect design row count != n")
-            self.fixed_prior_sd = np.atleast_1d(np.asarray(self.fixed_prior_sd, dtype=float))
-            _require(self.fixed_prior_sd.size == self.fixed_design.shape[1],
-                     "need one prior SD per fixed-effect column")
-            _require(bool(np.all(self.fixed_prior_sd > 0)), "prior SDs must be positive")
+        put("poly_prior_sd", _prior_sds(self.poly_prior_sd, blocks[1].shape[1], "polynomial"))
+        put("fixed_prior_sd", None if self.fixed_design is None
+            else _prior_sds(self.fixed_prior_sd, blocks[2].shape[1], "fixed-effect"))
         _require(
             (self.sigma_prior is None) != (self.sigma_fixed is None),
             "exactly one of sigma_prior / sigma_fixed is required",
@@ -105,55 +133,47 @@ class LatentModel:
                 "plain Poisson has no family hyperparameter",
             )
 
-        blocks = [self.spline_design.values, self.poly_design]
-        if self.fixed_design is not None:
-            blocks.append(self.fixed_design)
         if self.family == "poisson_od":
             blocks.append(np.eye(n))
-        self._X = np.hstack(blocks)
-        self.n_obs = n
-        self.n_spline = self.spline_design.values.shape[1]
-        self.n_poly = self.poly_design.shape[1]
-        self.n_fixed = 0 if self.fixed_design is None else self.fixed_design.shape[1]
-        self.latent_dim = self._X.shape[1]
-        if self.family == "gaussian":
-            self._lik_const = -0.5 * n * math.log(2.0 * math.pi)
-        else:
-            self._lik_const = -float(np.sum(gammaln(self.response + 1.0)))
-
-        names = []
-        if self.sigma_prior is not None:
-            names.append("log_sigma")
-        if self.family_hyper_prior is not None:
-            names.append("log_kappa" if self.family == "gaussian" else "log_phi")
-        self.theta_names = tuple(names)
+        design = np.hstack(blocks)
+        design.setflags(write=False)
+        put("design", design)
+        k, p = blocks[0].shape[1], blocks[1].shape[1]
+        put("spline_design", dataclasses.replace(self.spline_design, values=design[:, :k]))
+        put("poly_design", design[:, k : k + p])
+        if self.fixed_design is not None:
+            put("fixed_design", design[:, k + p : k + p + blocks[2].shape[1]])
+        col = np.linalg.norm(design, axis=0)
+        put("_col_norms", _readonly(np.where(col > 0.0, col, 1.0)))
+        gaussian = self.family == "gaussian"
+        put("_lik_const", -0.5 * n * math.log(2.0 * math.pi) if gaussian
+            else -float(np.sum(gammaln(self.response + 1.0))))
+        slots = ((0, "log_sigma", self.sigma_prior),
+                 (1, "log_kappa" if gaussian else "log_phi", self.family_hyper_prior))
+        put("_free_hypers", tuple(s for s in slots if s[2] is not None))
 
     # -- hyperparameter bookkeeping -------------------------------------
 
+    def _theta(self, theta) -> np.ndarray:
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        _require(theta.size == len(self._free_hypers),
+                 f"theta has {theta.size} entries, expected {len(self._free_hypers)}")
+        return theta
+
     def split_theta(self, theta) -> tuple[float, Optional[float]]:
         """Return (sigma, family hyperparameter) for a point on the log grid."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        _require(theta.size == len(self.theta_names),
-                 f"theta has {theta.size} entries, expected {len(self.theta_names)}")
-        pos = 0
-        if self.sigma_prior is not None:
-            sigma = float(np.exp(theta[pos]))
-            pos += 1
-        else:
-            sigma = float(self.sigma_fixed)
-        if self.family_hyper_prior is not None:
-            hyper = float(np.exp(theta[pos]))
-        else:
-            hyper = self.family_hyper_fixed
-        return sigma, hyper
+        values = [self.sigma_fixed, self.family_hyper_fixed]
+        for (slot, _, _), t in zip(self._free_hypers, self._theta(theta)):
+            values[slot] = float(np.exp(t))
+        return float(values[0]), values[1]
 
     def theta_start(self) -> np.ndarray:
-        starts = []
-        if self.sigma_prior is not None:
-            starts.append(math.log(self.sigma_prior.median))
-        if self.family_hyper_prior is not None:
-            starts.append(math.log(self.family_hyper_prior.median))
-        return np.asarray(starts)
+        return np.array([math.log(prior.median) for _, _, prior in self._free_hypers])
+
+    def log_hyperprior(self, theta) -> float:
+        """Log prior density of the free hyperparameters on the log scale."""
+        return float(sum(prior.log_pdf(float(np.exp(t))) + t
+                         for (_, _, prior), t in zip(self._free_hypers, self._theta(theta))))
 
     def prior_precision_diag(self, sigma: float, hyper: Optional[float]) -> np.ndarray:
         parts = [self.weight_precision_diag / sigma**2, 1.0 / self.poly_prior_sd**2]
@@ -196,6 +216,13 @@ def _lik_grad_curv(model: LatentModel, eta: np.ndarray, hyper: Optional[float]):
     return y - rate, rate
 
 
+def _log_prior_lik(model: LatentModel, latent, qdiag, hyper) -> float:
+    """Gaussian prior (precision diagonal ``qdiag``) plus likelihood at ``latent``."""
+    lp = 0.5 * float(np.sum(np.log(qdiag))) - 0.5 * float(latent @ (qdiag * latent))
+    lp -= 0.5 * model.latent_dim * math.log(2.0 * math.pi)
+    return lp + _log_lik(model, model.design @ latent, hyper)
+
+
 def log_joint(model: LatentModel, latent, theta=()) -> float:
     """log pi(latent, theta, y): Gaussian prior + likelihood + hyperpriors."""
     latent = np.asarray(latent, dtype=float)
@@ -203,18 +230,7 @@ def log_joint(model: LatentModel, latent, theta=()) -> float:
              f"latent has {latent.size} entries, expected {model.latent_dim}")
     sigma, hyper = model.split_theta(theta)
     qdiag = model.prior_precision_diag(sigma, hyper)
-    lp = 0.5 * float(np.sum(np.log(qdiag))) - 0.5 * float(latent @ (qdiag * latent))
-    lp -= 0.5 * model.latent_dim * math.log(2.0 * math.pi)
-    eta = model._X @ latent
-    lp += _log_lik(model, eta, hyper)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    pos = 0
-    if model.sigma_prior is not None:
-        lp += model.sigma_prior.log_pdf(sigma) + theta[pos]
-        pos += 1
-    if model.family_hyper_prior is not None:
-        lp += model.family_hyper_prior.log_pdf(hyper) + theta[pos]
-    return float(lp)
+    return _log_prior_lik(model, latent, qdiag, hyper) + model.log_hyperprior(theta)
 
 
 @dataclass
@@ -230,13 +246,6 @@ class GaussianApprox:
     iterations: int
 
 
-def _safe_log_joint(model, latent, theta) -> float:
-    try:
-        return log_joint(model, latent, theta)
-    except NumericError:
-        return -math.inf
-
-
 def newton_mode(
     model: LatentModel,
     theta=(),
@@ -247,96 +256,83 @@ def newton_mode(
     """Maximize the log joint over the latent field at fixed hyperparameters.
 
     Newton steps with step halving; the Gaussian family converges in a single
-    step from any start.  The iteration runs on a column-equilibrated copy of
-    the design (unit-norm columns), which keeps the gradient's floating-point
+    step from any start.  The iteration runs in coordinates ws = w * col (col
+    the design's column norms), which keeps the gradient's floating-point
     evaluation floor below the convergence threshold even when covariate
-    powers span many orders of magnitude; convergence is declared when the
-    equilibrated gradient norm drops to ``tol * (1 + |log joint|)``.  The
-    returned mode and negative Hessian (diagonal prior precision plus
-    design-weighted likelihood curvature) are in original coordinates.
+    powers span many orders of magnitude.  Each iterate assembles and factors
+    the negative Hessian once, then tests the gradient norm against
+    ``tol * (1 + |log joint|)``.  The returned precision (diagonal prior
+    precision plus design-weighted likelihood curvature), Cholesky factor and
+    log-determinant are the last factorization rescaled to original coordinates.
     """
     sigma, hyper = model.split_theta(theta)
     qdiag = model.prior_precision_diag(sigma, hyper)
-    X = model._X
-    col = np.sqrt(np.sum(X**2, axis=0))
-    col[col == 0.0] = 1.0
-    Xs = X / col
+    log_hyper = model.log_hyperprior(theta)
+    X, col = model.design, model._col_norms
+    colcol = np.outer(col, col)
     qdiag_s = qdiag / col**2
 
-    w = (
-        np.zeros(model.latent_dim)
-        if init is None
-        else np.array(init, dtype=float, copy=True)
-    )
-    _require(w.size == model.latent_dim, "init has wrong length")
-    if not np.all(np.isfinite(w)):
-        w = np.zeros(model.latent_dim)
-    ws = w * col
-    lj = _safe_log_joint(model, ws / col, theta)
-    if not np.isfinite(lj):
+    def score(ws):
+        try:
+            return _log_prior_lik(model, ws / col, qdiag, hyper) + log_hyper
+        except NumericError:
+            return -math.inf
+
+    _require(init is None or np.size(init) == model.latent_dim, "init has wrong length")
+    ws = np.zeros(model.latent_dim) if init is None else np.asarray(init, dtype=float) * col
+    lj = score(ws)
+    if not np.isfinite(lj):  # non-finite or overflowing start
         ws = np.zeros(model.latent_dim)
-        lj = log_joint(model, ws, theta)
+        lj = score(ws)
 
-    def assemble(wvec):
-        eta = Xs @ wvec
-        u, curv = _lik_grad_curv(model, eta, hyper)
-        grad = -qdiag_s * wvec + Xs.T @ u
-        hess = (Xs.T * curv) @ Xs
-        hess[np.diag_indices_from(hess)] += qdiag_s
-        return grad, hess
-
-    grad, hess = assemble(ws)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if np.linalg.norm(grad) <= tol * (1.0 + abs(lj)):
-            iterations -= 1
-            break
+    while True:
+        u, curv = _lik_grad_curv(model, X @ (ws / col), hyper)
+        grad = (X.T @ u) / col - qdiag_s * ws
+        hess = (X.T * curv) @ X / colcol
+        hess[np.diag_indices_from(hess)] += qdiag_s
         try:
             chol = linalg.cho_factor(hess, lower=True)
         except linalg.LinAlgError:
             raise NumericError("indefinite negative Hessian during Newton iteration")
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= tol * (1.0 + abs(lj)):
+            break
+        if iterations == max_iter:
+            raise IterationError(
+                f"Newton did not converge in {max_iter} iterations; "
+                f"last |grad|={grad_norm:.3e}"
+            )
         step = linalg.cho_solve(chol, grad)
+        slack = 1e-12 * (1.0 + abs(lj))
+        # a step predicted to gain less than the slack is below what the log
+        # joint resolves (its terms may cancel to near zero), so it is taken whole
+        whole = 0.5 * float(grad @ step) <= slack
         scale = 1.0
         for _ in range(50):
             ws_new = ws + scale * step
-            lj_new = _safe_log_joint(model, ws_new / col, theta)
-            if lj_new > lj - 1e-12 * (1.0 + abs(lj)):
+            lj_new = score(ws_new)
+            if lj_new > lj - slack or (whole and np.isfinite(lj_new)):
                 break
             scale *= 0.5
         else:
-            raise IterationError(
-                f"line search failed at |grad|={np.linalg.norm(grad):.3e}"
-            )
+            raise IterationError(f"line search failed at |grad|={grad_norm:.3e}")
         ws, lj = ws_new, lj_new
-        grad, hess = assemble(ws)
-    else:
-        raise IterationError(
-            f"Newton did not converge in {max_iter} iterations; "
-            f"last |grad|={np.linalg.norm(grad):.3e}"
-        )
+        iterations += 1
 
-    w = ws / col
-    eta = X @ w
-    u, curv = _lik_grad_curv(model, eta, hyper)
-    hess = (X.T * curv) @ X
-    hess[np.diag_indices_from(hess)] += qdiag
-    try:
-        chol = linalg.cho_factor(hess, lower=True)
-    except linalg.LinAlgError:
-        raise NumericError("negative Hessian not positive definite at the mode")
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    chol_s = np.tril(chol[0])
     return GaussianApprox(
-        mode=w,
-        precision=hess,
-        chol=np.tril(chol[0]),
-        log_det=log_det,
+        mode=ws / col,
+        precision=hess * colcol,
+        chol=col[:, None] * chol_s,
+        log_det=2.0 * float(np.sum(np.log(np.diag(chol_s))) + np.sum(np.log(col))),
         log_joint_at_mode=lj,
-        grad_norm=float(np.linalg.norm(grad)),
+        grad_norm=grad_norm,
         iterations=iterations,
     )
 
 
-def laplace_log_marginal(model: LatentModel, theta=(), init=None, approx=None) -> float:
+def laplace_log_marginal(model: LatentModel, theta=(), approx=None) -> float:
     """log of the Laplace-approximated marginal of (theta, y).
 
     Equals log joint at the mode plus dim/2 * log(2 pi) minus half the
@@ -344,7 +340,7 @@ def laplace_log_marginal(model: LatentModel, theta=(), init=None, approx=None) -
     Gaussian family.
     """
     if approx is None:
-        approx = newton_mode(model, theta, init=init)
+        approx = newton_mode(model, theta)
     return float(
         approx.log_joint_at_mode
         + 0.5 * model.latent_dim * math.log(2.0 * math.pi)
@@ -377,12 +373,8 @@ class PosteriorFit:
 
     @property
     def family_hypers(self) -> np.ndarray:
-        return np.array(
-            [
-                np.nan if (h := self.model.split_theta(t)[1]) is None else h
-                for t in self.theta_points
-            ]
-        )
+        # a model without a family hyperparameter gives None, stored as NaN
+        return np.array([self.model.split_theta(t)[1] for t in self.theta_points], dtype=float)
 
 
 def aghq_fit(
@@ -601,21 +593,13 @@ def build_model(
 ) -> LatentModel:
     """Assemble a :class:`LatentModel` from data and a basis."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = basis.order
-    if poly_prior_sd is None:
-        poly_prior_sd = np.full(p, DEFAULT_POLY_PRIOR_SD)
-    poly_prior_sd = np.broadcast_to(np.asarray(poly_prior_sd, dtype=float), (p,)).copy()
-    if fixed_design is not None and fixed_prior_sd is not None:
-        fixed_prior_sd = np.broadcast_to(
-            np.asarray(fixed_prior_sd, dtype=float), (np.asarray(fixed_design).shape[1],)
-        ).copy()
     return LatentModel(
-        response=np.asarray(y, dtype=float),
+        response=y,
         family=family,
         spline_design=design_matrix(basis, x, 0),
-        poly_design=polynomial_design(x, p, 0),
+        poly_design=polynomial_design(x, basis.order, 0),
         weight_precision_diag=basis.knot_set.spacings,
-        poly_prior_sd=poly_prior_sd,
+        poly_prior_sd=DEFAULT_POLY_PRIOR_SD if poly_prior_sd is None else poly_prior_sd,
         sigma_prior=sigma_prior,
         sigma_fixed=sigma_fixed,
         fixed_design=fixed_design,

@@ -55,7 +55,7 @@ def log_joint_scalar(model: LatentModel, latent, theta=()) -> float:
     for row in range(model.n_obs):
         eta_i = 0.0
         for j in range(model.latent_dim):
-            eta_i += model._X[row, j] * latent[j]
+            eta_i += model.design[row, j] * latent[j]
         y_i = model.response[row]
         if model.family == "gaussian":
             kappa = hyper
@@ -123,7 +123,7 @@ def brute_log_marginal(model: LatentModel, theta, nodes: int = 40) -> float:
         - 0.5 * np.sum(W**2 * qd, axis=1)
         - 0.5 * dim * np.log(2.0 * np.pi)
     )
-    eta = W @ model._X.T
+    eta = W @ model.design.T
     y = model.response
     if model.family == "gaussian":
         kappa = hyper
@@ -149,11 +149,28 @@ def brute_log_marginal(model: LatentModel, theta, nodes: int = 40) -> float:
     return float(logsumexp(log_prior + log_lik + log_hyper + log_adj))
 
 
+def laplace_terms_in_original_coordinates(model: LatentModel, mode, theta=()):
+    """Negative Hessian H = diag(q) + X' diag(curv) X at ``mode``, assembled in
+    original coordinates, with its ``slogdet`` and the log joint there."""
+    from osplines.inference import log_joint
+
+    sigma, hyper = model.split_theta(theta)
+    X = model.design
+    if model.family == "gaussian":
+        curv = np.full(model.n_obs, 1.0 / hyper**2)
+    else:
+        curv = np.exp(X @ mode)
+    H = np.diag(model.prior_precision_diag(sigma, hyper)) + X.T @ np.diag(curv) @ X
+    sign, logdet = np.linalg.slogdet(H)
+    assert sign > 0
+    return H, logdet, log_joint(model, mode, theta)
+
+
 def gaussian_marginal_exact(model: LatentModel, theta=()) -> float:
     """Analytic Gaussian-family marginal: N(y; 0, X Sigma X' + kappa^2 I)."""
     sigma, kappa = model.split_theta(theta)
     qd = model.prior_precision_diag(sigma, kappa)
-    X = model._X
+    X = model.design
     cov = (X / qd) @ X.T + kappa**2 * np.eye(model.n_obs)
     y = model.response
     sign, logdet = np.linalg.slogdet(cov)

@@ -287,7 +287,7 @@ def _brute_log_marginal_vectorized(model, theta, nodes=40):
         - 0.5 * np.sum(W**2 * qd, axis=1)
         - 0.5 * dim * np.log(2.0 * np.pi)
     )
-    eta = W @ model._X.T
+    eta = W @ model.design.T
     y = model.response
     log_lik = np.sum(y * eta - np.exp(eta), axis=1) - float(np.sum(gammaln(y + 1.0)))
     log_hyper = model.sigma_prior.log_pdf(sigma) + theta[0]

@@ -284,6 +284,8 @@ def test_experiment_gmm_with_config_file(tmp_path):
     assert rc == 0
     rows = read_csv(tmp_path / "g" / "gmm_rmse.csv")
     assert {r["method"] for r in rows} == {"ospline_p3", "ospline_p2"}
+    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    assert manifest["seed"] == 4
 
 
 def test_console_entry_point_subprocess():
@@ -293,6 +295,36 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "psd(2.0)" in proc.stdout
+
+
+def test_fit_computes_each_condition_number_once(tmp_path, monkeypatch):
+    from osplines import cli, inference
+
+    calls = 0
+    real = inference.condition_number
+
+    def counted(approx):
+        nonlocal calls
+        calls += 1
+        return real(approx)
+
+    # both bindings: the CLI's own and the one inference's helpers call
+    monkeypatch.setattr(cli, "condition_number", counted)
+    monkeypatch.setattr(inference, "condition_number", counted)
+    data = tmp_path / "data.csv"
+    write_gaussian_csv(data, n=25)
+    out = tmp_path / "out"
+    rc = main([
+        "fit", "--data", str(data), "--x", "x", "--y", "y",
+        "--family", "gaussian", "--order", "2", "--knots", "8",
+        "--psd-h", "1", "--psd-median", "1", "--noise-median", "1",
+        "--quad", "3", "--samples", "100", "--seed", "0", "--out", str(out),
+    ])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["theta_weights"]) == 9
+    assert calls == 9
+    assert manifest["max_condition_number"] == max(manifest["condition_numbers"])
 
 
 def test_curve_csv_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,21 +27,25 @@ from osplines import (
     prior_from_psd,
     sum_coded_design,
 )
+from osplines import inference
 from osplines.inference import GaussianApprox
 from oracles import (
     brute_log_marginal,
     fd_hessian_of_log_joint,
     gaussian_marginal_exact,
+    laplace_terms_in_original_coordinates,
     log_joint_scalar,
 )
 
 
-def tiny_gaussian_model(n=5, k=3, seed=0, sigma=0.7, kappa=0.4, sigma_prior=None):
+def tiny_gaussian_model(n=5, k=3, seed=0, sigma=0.7, kappa=0.4, sigma_prior=None,
+                        ys=None, poly_sd=(1.5, 0.8)):
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, 1.0, n)
-    ys = rng.normal(0.0, 1.0, n)
+    if ys is None:
+        ys = rng.normal(0.0, 1.0, n)
     basis = OSplineBasis(2, build_equal_knots(0.0, 1.0, k))
-    kwargs = dict(family_hyper_fixed=kappa, poly_prior_sd=[1.5, 0.8])
+    kwargs = dict(family_hyper_fixed=kappa, poly_prior_sd=list(poly_sd))
     if sigma_prior is None:
         kwargs["sigma_fixed"] = sigma
     else:
@@ -59,14 +64,84 @@ def tiny_poisson_model(sigma_prior=None, ys=(1.0, 0.0, 2.0, 1.0)):
     return build_model(xs, np.asarray(ys), basis, "poisson", **kwargs), basis
 
 
+def large_covariate_od_model(rng):
+    """Covariates spanning hundreds of units put basis and monomial columns
+    at ~1e6 scale next to the unit-norm overdispersion block."""
+    n = 150
+    xs = np.linspace(0.0, 600.0, n)
+    lam = np.exp(0.8 * np.sin(xs / 90.0) + 1.0)
+    ys = rng.poisson(lam).astype(float)
+    basis = OSplineBasis(3, build_equal_knots(0.0, 600.0, 30))
+    return build_model(
+        xs, ys, basis, "poisson_od",
+        sigma_prior=prior_from_psd(PSDSpec(h=7.0, order=3), np.log(2.0), 0.5),
+        family_hyper_prior=ExponentialPrior(rate=np.log(2.0) / 0.1),
+        poly_prior_sd=0.1,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the model
+# ---------------------------------------------------------------------------
+
+
+def test_latent_model_is_frozen_with_readonly_arrays():
+    ys = np.random.default_rng(1).normal(0.0, 1.0, 5)
+    model, _ = tiny_gaussian_model(ys=ys)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.response = np.zeros(5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.poly_prior_sd = model.poly_prior_sd * 2.0
+    for array in (model.response, model.design, model.spline_design.values,
+                  model.poly_design, model.poly_prior_sd):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # the caller's response stays writable and is not shared with the model
+    ys[0] = 99.0
+    assert model.response[0] != 99.0
+
+
+def test_scalar_prior_sds_are_broadcast_per_column():
+    fixed = np.array([[1.0], [-1.0], [1.0], [-1.0], [1.0]])
+    model, basis = tiny_gaussian_model()
+    scalar = build_model(
+        np.linspace(0.0, 1.0, 5), model.response, basis, "gaussian",
+        sigma_fixed=0.7, family_hyper_fixed=0.4, poly_prior_sd=2.0,
+        fixed_design=fixed, fixed_prior_sd=3.0,
+    )
+    npt.assert_array_equal(scalar.poly_prior_sd, [2.0, 2.0])
+    npt.assert_array_equal(scalar.fixed_prior_sd, [3.0])
+    npt.assert_array_equal(scalar.design[:, -1], fixed[:, 0])
+    with pytest.raises(InvalidArgumentError):
+        build_model(np.linspace(0.0, 1.0, 5), model.response, basis, "gaussian",
+                    sigma_fixed=0.7, family_hyper_fixed=0.4, poly_prior_sd=[1.0, 2.0, 3.0])
+
+
+def test_theta_layout_drives_names_start_split_and_hyperprior():
+    sigma_prior, kappa_prior = ExponentialPrior(1.5), ExponentialPrior(2.0)
+    model, _ = tiny_gaussian_model(sigma_prior=sigma_prior)
+    both = build_model(
+        np.linspace(0.0, 1.0, 5), model.response, model.basis, "gaussian",
+        sigma_prior=sigma_prior, family_hyper_prior=kappa_prior,
+    )
+    assert both.theta_names == ("log_sigma", "log_kappa")
+    npt.assert_allclose(both.theta_start(), np.log([sigma_prior.median, kappa_prior.median]))
+    theta = np.array([-0.3, 0.2])
+    assert both.split_theta(theta) == pytest.approx(tuple(np.exp(theta)))
+    want = sum(p.log_pdf(math.exp(t)) + t for p, t in zip((sigma_prior, kappa_prior), theta))
+    assert both.log_hyperprior(theta) == pytest.approx(want, abs=1e-14)
+    assert model.split_theta([0.1]) == pytest.approx((math.exp(0.1), 0.4))
+    with pytest.raises(InvalidArgumentError):
+        both.split_theta([0.1])
+
+
 # ---------------------------------------------------------------------------
 # log joint
 # ---------------------------------------------------------------------------
 
 
 def test_log_joint_gaussian_zero_everything_closed_form():
-    model, _ = tiny_gaussian_model()
-    model.response[:] = 0.0
+    model, _ = tiny_gaussian_model(ys=np.zeros(5))
     kappa = model.family_hyper_fixed
     qd = model.prior_precision_diag(model.sigma_fixed, kappa)
     want = (
@@ -123,7 +198,7 @@ def test_newton_gaussian_equals_gls_single_step(rng):
     assert ga.iterations == 1
     kappa = model.family_hyper_fixed
     qd = model.prior_precision_diag(model.sigma_fixed, kappa)
-    X = model._X
+    X = model.design
     H = np.diag(qd) + X.T @ X / kappa**2
     want = np.linalg.solve(H, X.T @ model.response / kappa**2)
     npt.assert_allclose(ga.mode, want, atol=1e-10)
@@ -134,7 +209,7 @@ def test_gaussian_latent_sds_match_direct_inverse():
     ga = newton_mode(model)
     kappa = model.family_hyper_fixed
     qd = model.prior_precision_diag(model.sigma_fixed, kappa)
-    H = np.diag(qd) + model._X.T @ model._X / kappa**2
+    H = np.diag(qd) + model.design.T @ model.design / kappa**2
     direct_sd = np.sqrt(np.diag(np.linalg.inv(H)))
     half = np.linalg.inv(np.tril(ga.chol))  # cho_factor leaves junk above the diagonal
     factor_sd = np.sqrt(np.sum(half**2, axis=0))
@@ -154,7 +229,7 @@ def test_aghq_even_node_count_excludes_mode():
 def test_newton_poisson_all_zero_counts():
     model, _ = tiny_poisson_model(ys=(0.0, 0.0, 0.0, 0.0))
     ga = newton_mode(model)
-    eta = model._X @ ga.mode
+    eta = model.design @ ga.mode
     assert np.all(np.isfinite(ga.mode))
     assert np.all(eta < 0.0)
     assert ga.grad_norm <= 1e-8 * (1.0 + abs(ga.log_joint_at_mode))
@@ -164,6 +239,71 @@ def test_newton_gradient_condition_at_mode():
     model, _ = tiny_poisson_model()
     ga = newton_mode(model)
     assert ga.grad_norm <= 1e-8 * (1.0 + abs(ga.log_joint_at_mode))
+
+
+def test_newton_takes_steps_below_log_joint_resolution_whole():
+    """Overdispersed counts whose log joint at the mode cancels to ~0.3 from
+    terms of order 1e4: near the mode the Newton step's predicted gain
+    (~1e-17) lies below the evaluation noise, so step halving alone shrank
+    it to nothing and the iteration stalled at |grad| ~ 2e-6."""
+    n = 300
+    x = np.arange(n, dtype=float)
+    g = 2.5 + np.sin(2.0 * np.pi * x / 120.0) + 0.5 * np.cos(2.0 * np.pi * x / 45.0)
+    rng = np.random.default_rng([1106, 12, 3])
+    y = rng.poisson(np.exp(g + rng.normal(0.0, 0.1, n))).astype(float)
+    model = build_model(
+        x, y, OSplineBasis(3, build_equal_knots(0.0, 299.0, 50)), "poisson_od",
+        sigma_prior=prior_from_psd(PSDSpec(h=30.0, order=3), 1.0, 0.01),
+        family_hyper_prior=ExponentialPrior(rate=math.log(2.0) / 0.1),
+    )
+    ga = newton_mode(model, np.log([0.004211995274365753, 0.056008654972055004]))
+    assert abs(ga.log_joint_at_mode) < 1.0
+    assert ga.grad_norm <= 1e-8 * (1.0 + abs(ga.log_joint_at_mode))
+    assert ga.iterations <= 15
+
+
+def test_newton_assembles_and_factors_once_per_iterate(monkeypatch):
+    calls = {"curvature": 0, "cho_factor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(inference, "_lik_grad_curv",
+                        counted("curvature", inference._lik_grad_curv))
+    monkeypatch.setattr(inference.linalg, "cho_factor",
+                        counted("cho_factor", inference.linalg.cho_factor))
+    for model, _ in (tiny_gaussian_model(n=9, k=4), tiny_poisson_model()):
+        calls.update(curvature=0, cho_factor=0)
+        ga = newton_mode(model)
+        assert ga.iterations >= 1
+        assert calls == {"curvature": ga.iterations + 1, "cho_factor": ga.iterations + 1}
+
+
+def test_newton_outputs_match_original_coordinate_assembly(rng):
+    """Precision, factor, log-determinant and log joint rescaled from the
+    equilibrated iteration agree with a direct assembly at the mode."""
+    cases = [
+        (tiny_gaussian_model(n=9, k=4)[0], ()),
+        (tiny_poisson_model()[0], ()),
+    ]
+    od = large_covariate_od_model(rng)
+    cases.append((od, od.theta_start()))
+    for model, theta in cases:
+        ga = newton_mode(model, theta)
+        H, logdet, lj = laplace_terms_in_original_coordinates(model, ga.mode, theta)
+        scale = np.sqrt(np.outer(np.diag(H), np.diag(H)))
+        assert np.max(np.abs(ga.precision - H) / scale) <= 1e-10
+        assert np.max(np.abs(ga.chol @ ga.chol.T - H) / scale) <= 1e-10
+        npt.assert_array_equal(ga.chol, np.tril(ga.chol))
+        # entrywise rounding of H moves log det by up to eps * sum|H^-1 o H|, which
+        # reaches ~1e-9 relative on the large-covariate model (Jacobi-scaled
+        # condition number ~4e10); the oracle's own slogdet is no closer than that
+        floor = np.finfo(float).eps * np.sum(np.abs(np.linalg.inv(H) * H))
+        assert abs(ga.log_det - logdet) <= 1e-10 * abs(logdet) + floor
+        assert ga.log_joint_at_mode == pytest.approx(lj, rel=1e-10)
 
 
 def test_hessian_matches_finite_differences():
@@ -186,13 +326,13 @@ def test_laplace_exact_for_gaussian_family():
 
 
 def test_laplace_scaling_shift_with_zero_response():
-    model, _ = tiny_gaussian_model(n=6, k=3)
-    model.response[:] = 0.0
+    model, _ = tiny_gaussian_model(n=6, k=3, ys=np.zeros(6))
     base = laplace_log_marginal(model)
     c = 2.5
-    scaled, _ = tiny_gaussian_model(n=6, k=3, sigma=0.7 * c, kappa=0.4 * c)
-    scaled.response[:] = 0.0
-    scaled.poly_prior_sd = scaled.poly_prior_sd * c
+    scaled, _ = tiny_gaussian_model(
+        n=6, k=3, sigma=0.7 * c, kappa=0.4 * c, ys=np.zeros(6),
+        poly_sd=np.array([1.5, 0.8]) * c,
+    )
     want = base - scaled.n_obs * math.log(c)
     assert laplace_log_marginal(scaled) == pytest.approx(want, abs=1e-9)
 
@@ -284,20 +424,9 @@ def test_aghq_seed_stability_of_mean_curves(rng):
 
 
 def test_newton_converges_with_large_covariate_scale(rng):
-    """Covariates spanning hundreds of units put basis and monomial columns
-    at ~1e6 scale; the equilibrated iteration still reaches the gradient
-    criterion (the unbalanced iteration stalls on its evaluation floor)."""
-    n = 150
-    xs = np.linspace(0.0, 600.0, n)
-    lam = np.exp(0.8 * np.sin(xs / 90.0) + 1.0)
-    ys = rng.poisson(lam).astype(float)
-    basis = OSplineBasis(3, build_equal_knots(0.0, 600.0, 30))
-    model = build_model(
-        xs, ys, basis, "poisson_od",
-        sigma_prior=prior_from_psd(PSDSpec(h=7.0, order=3), np.log(2.0), 0.5),
-        family_hyper_prior=ExponentialPrior(rate=np.log(2.0) / 0.1),
-        poly_prior_sd=0.1,
-    )
+    """The equilibrated iteration reaches the gradient criterion on ~1e6-scale
+    columns (the unbalanced iteration stalls on its evaluation floor)."""
+    model = large_covariate_od_model(rng)
     ga = newton_mode(model, model.theta_start())
     assert ga.grad_norm <= 1e-8 * (1.0 + abs(ga.log_joint_at_mode))
     assert np.all(np.isfinite(ga.mode))
