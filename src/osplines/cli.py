@@ -21,6 +21,7 @@ from .basis import OSplineBasis, build_equal_knots
 from .errors import DataError, InvalidArgumentError, NumericError
 from .exact import IWPKernel, OSplineKernel, cov_grid
 from .inference import (
+    _row_summaries,
     aghq_fit,
     build_model,
     condition_number,
@@ -224,15 +225,13 @@ def cmd_fit(args) -> int:
             model.n_spline + model.n_poly, model.n_spline + model.n_poly + model.n_fixed
         )
         betas = fit.samples[:, beta_cols]
-        rows = []
-        for name, col in zip(fixed_names, betas.T):
-            lo, hi = np.quantile(col, [0.025, 0.975], method="inverted_cdf")
-            rows.append((name, col.mean(), col.std(ddof=1), lo, hi))
-        ref = -betas.sum(axis=1)
-        lo, hi = np.quantile(ref, [0.025, 0.975], method="inverted_cdf")
-        rows.append(("(reference)", ref.mean(), ref.std(ddof=1), lo, hi))
+        # one row per effect, the implied reference effect last
+        effects = np.vstack([betas.T, -betas.sum(axis=1)])
         path = out / "fixed_effects.csv"
-        write_csv(path, ["effect", "mean", "sd", "lower", "upper"], rows)
+        write_csv(
+            path, ["effect", "mean", "sd", "lower", "upper"],
+            list(zip(fixed_names + ["(reference)"], *_row_summaries(effects, 0.025, 0.975))),
+        )
         files.append(path)
 
     conds = [condition_number(a) for a in fit.approxes]

@@ -64,8 +64,9 @@ class LatentModel:
     Poisson family treats the overdispersion SD the same way.  A scalar prior
     SD is broadcast over its block.  Instances are frozen and hold read-only
     copies of their arrays, so what is derived from the data at construction
-    (the stacked ``design``, which the blocks view, its column norms and the
-    likelihood constant) stays valid.
+    (the stacked ``design``, which the blocks view, its column norms, the
+    likelihood constant and, for the Gaussian family, the Gram matrix
+    ``gram`` = design' design) stays valid.
     """
 
     response: np.ndarray
@@ -82,6 +83,8 @@ class LatentModel:
     family_hyper_fixed: Optional[float] = None
     basis: Optional[OSplineBasis] = None
     design: np.ndarray = field(init=False, repr=False)
+    # X'X for the Gaussian family, whose likelihood curvature is constant; else None
+    gram: Optional[np.ndarray] = field(init=False, repr=False)
     _col_norms: np.ndarray = field(init=False, repr=False)
     _lik_const: float = field(init=False, repr=False)
     # the theta layout: (slot in split_theta's pair, name, prior) per free hyperparameter
@@ -143,9 +146,15 @@ class LatentModel:
         put("poly_design", design[:, k : k + p])
         if self.fixed_design is not None:
             put("fixed_design", design[:, k + p : k + p + blocks[2].shape[1]])
-        col = np.linalg.norm(design, axis=0)
-        put("_col_norms", _readonly(np.where(col > 0.0, col, 1.0)))
         gaussian = self.family == "gaussian"
+        if gaussian:
+            gram = design.T @ design
+            gram.setflags(write=False)
+            col = np.sqrt(np.diag(gram))
+        else:
+            gram, col = None, np.linalg.norm(design, axis=0)
+        put("gram", gram)
+        put("_col_norms", _readonly(np.where(col > 0.0, col, 1.0)))
         put("_lik_const", -0.5 * n * math.log(2.0 * math.pi) if gaussian
             else -float(np.sum(gammaln(self.response + 1.0))))
         slots = ((0, "log_sigma", self.sigma_prior),
@@ -207,11 +216,12 @@ def _log_lik(model: LatentModel, eta: np.ndarray, hyper: Optional[float]) -> flo
 
 
 def _lik_grad_curv(model: LatentModel, eta: np.ndarray, hyper: Optional[float]):
-    """d log-lik / d eta and the negative second derivative (both length n)."""
+    """d log-lik / d eta (length n) and the negative second derivative
+    (length n; a scalar for the Gaussian family, where it is constant)."""
     y = model.response
     if model.family == "gaussian":
         kappa2 = hyper**2
-        return (y - eta) / kappa2, np.full(y.size, 1.0 / kappa2)
+        return (y - eta) / kappa2, 1.0 / kappa2
     rate = np.exp(eta)
     return y - rate, rate
 
@@ -261,9 +271,14 @@ def newton_mode(
     evaluation floor below the convergence threshold even when covariate
     powers span many orders of magnitude.  Each iterate assembles and factors
     the negative Hessian once, then tests the gradient norm against
-    ``tol * (1 + |log joint|)``.  The returned precision (diagonal prior
-    precision plus design-weighted likelihood curvature), Cholesky factor and
-    log-determinant are the last factorization rescaled to original coordinates.
+    ``tol * (1 + |log joint|)``.  The Gaussian family's curvature is the
+    constant 1/kappa^2, so its Hessian scales the model's Gram matrix, O(k^2),
+    rather than forming X' C X, O(n k^2).  The gradient and the log joint
+    still go through the residuals y - X w at O(n k): expanding them through
+    X'X and X'y would cancel catastrophically when the response sits far from
+    zero.  The returned precision (diagonal prior precision plus
+    design-weighted likelihood curvature), Cholesky factor and log-determinant
+    are the last factorization rescaled to original coordinates.
     """
     sigma, hyper = model.split_theta(theta)
     qdiag = model.prior_precision_diag(sigma, hyper)
@@ -289,7 +304,10 @@ def newton_mode(
     while True:
         u, curv = _lik_grad_curv(model, X @ (ws / col), hyper)
         grad = (X.T @ u) / col - qdiag_s * ws
-        hess = (X.T * curv) @ X / colcol
+        if model.gram is None:
+            hess = (X.T * curv) @ X / colcol
+        else:  # constant curvature: scale the Gram matrix
+            hess = model.gram * (curv / colcol)
         hess[np.diag_indices_from(hess)] += qdiag_s
         try:
             chol = linalg.cho_factor(hess, lower=True)
@@ -446,13 +464,42 @@ def aghq_fit(
     )
 
 
-def _curve_design(fit: PosteriorFit, xs, q: int) -> np.ndarray:
+def _require_order(fit: PosteriorFit, q: int) -> None:
     _require(fit.basis is not None, "fit carries no basis metadata for curve evaluation")
     p = fit.basis.order
     _require(0 <= q <= p, f"derivative order {q} exceeds basis order {p}")
+
+
+def _curve_design(fit: PosteriorFit, xs, q: int) -> np.ndarray:
+    p = fit.basis.order
     phi = design_matrix(fit.basis, xs, q).values
     poly = polynomial_design(xs, p, q)
     return np.hstack([phi, poly])
+
+
+# rows summarized at a time: the sorted copy stays at 32 x samples
+_SUMMARY_ROWS = 32
+
+
+def _row_summaries(rows: np.ndarray, lower_prob: float, upper_prob: float):
+    """Mean, SD (ddof=1) and two order-statistic quantiles of each row.
+
+    The quantiles are exactly ``np.quantile(..., method="inverted_cdf")``:
+    the order statistics at 0-based index ceil(S * prob - 1), S the row
+    length, read from a row-wise sort.  Rows are visited in small blocks, so
+    the temporaries stay at the size of one block.
+    """
+    m, s = rows.shape
+    lo, hi = (max(math.ceil(s * prob - 1.0), 0) for prob in (lower_prob, upper_prob))
+    mean, sd, lower, upper = (np.empty(m) for _ in range(4))
+    for start in range(0, m, _SUMMARY_ROWS):
+        block = rows[start : start + _SUMMARY_ROWS]
+        at = slice(start, start + block.shape[0])
+        mean[at] = block.mean(axis=1)
+        sd[at] = block.std(axis=1, ddof=1)
+        ordered = np.sort(block, axis=1)
+        lower[at], upper[at] = ordered[:, lo], ordered[:, hi]
+    return mean, sd, lower, upper
 
 
 @dataclass
@@ -480,40 +527,45 @@ def posterior_function(
     """Evaluate stored latent samples as curves g^(q) on ``xs``.
 
     ``transform='exp'`` reports exp(g) for q = 0 and g' * exp(g) for q = 1,
-    per sample.  Interval endpoints are order-statistic quantiles, so a
-    monotone transform of the samples maps intervals exactly.
+    per sample.  Arguments are checked before any curve is evaluated.  The
+    paths are formed with one contiguous row per x and summarized in small
+    row blocks; interval endpoints are the exact inverted-CDF order
+    statistics, so a monotone transform of the samples maps intervals
+    exactly.  ``samples`` (samples x len(xs)) is a transposed view of those
+    rows.
     """
     _require(transform in (None, "exp"), "transform must be None or 'exp'")
-    _require(fit.samples.shape[0] > 0, "fit holds no posterior samples")
+    _require(transform is None or q in (0, 1),
+             "exp transform is defined for derivative orders 0 and 1")
     _require(0.0 < level < 1.0, "level must lie in (0, 1)")
+    _require(fit.samples.shape[0] > 0, "fit holds no posterior samples")
+    _require_order(fit, q)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ncoef = fit.model.n_spline + fit.model.n_poly
-    coefs = fit.samples[:, :ncoef]
-    paths = coefs @ _curve_design(fit, xs, q).T
+    coefs = fit.samples[:, : fit.model.n_spline + fit.model.n_poly]
+    paths = _curve_design(fit, xs, q) @ coefs.T
     if transform == "exp":
-        _require(q in (0, 1), "exp transform is defined for derivative orders 0 and 1")
         if q == 0:
             paths = np.exp(paths)
         else:
-            base = coefs @ _curve_design(fit, xs, 0).T
-            paths = paths * np.exp(base)
+            paths *= np.exp(_curve_design(fit, xs, 0) @ coefs.T)
     tail = 0.5 * (1.0 - level)
-    lower, upper = np.quantile(paths, [tail, 1.0 - tail], axis=0, method="inverted_cdf")
+    mean, sd, lower, upper = _row_summaries(paths, tail, 1.0 - tail)
     return PosteriorCurve(
         xs=xs,
         derivative_order=q,
         transform=transform,
-        mean=paths.mean(axis=0),
-        sd=paths.std(axis=0, ddof=1),
+        mean=mean,
+        sd=sd,
         lower=lower,
         upper=upper,
-        samples=paths,
+        samples=paths.T,
         level=level,
     )
 
 
 def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean/SD of g^(q) under the fitted Gaussian mixture (no sampling)."""
+    _require_order(fit, q)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     design = _curve_design(fit, xs, q)
     ncoef = design.shape[1]

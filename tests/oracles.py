@@ -6,6 +6,9 @@ indicator, joint densities are re-summed scalar by scalar, and marginal
 likelihoods are integrated with dense quadrature over the full latent space.
 The dense exact-process posterior is conditioned point by point and order by
 order, as the comparator once did, so its consolidated path has a reference.
+The Gaussian mode is solved from a likelihood Hessian assembled from the
+design itself rather than from the model's Gram matrix, and curves are
+summarized sample-major with ``np.quantile``, as the fitter once did.
 """
 
 import itertools
@@ -17,7 +20,7 @@ from scipy.special import gammaln, logsumexp
 
 from osplines.basis import KnotSet, test_function_eval
 from osplines.exact import IWPKernel, _poly_cov_matrix
-from osplines.inference import LatentModel, newton_mode
+from osplines.inference import LatentModel, PosteriorCurve, _curve_design, newton_mode
 
 
 def repeated_integral_of_test_function(knot_set: KnotSet, i: int, x: float, p: int) -> float:
@@ -164,6 +167,50 @@ def laplace_terms_in_original_coordinates(model: LatentModel, mode, theta=()):
     sign, logdet = np.linalg.slogdet(H)
     assert sign > 0
     return H, logdet, log_joint(model, mode, theta)
+
+
+def gaussian_mode_dense(model: LatentModel, theta=()):
+    """Gaussian-family mode and Laplace log marginal from a dense assembly.
+
+    H = diag(q) + X' diag(curv) X with the constant curvature 1/kappa^2
+    expanded over the rows of the design; one Newton step from zero is the
+    mode.  The system is Jacobi-scaled before its Cholesky solve.
+    """
+    from osplines.inference import log_joint
+
+    sigma, kappa = model.split_theta(theta)
+    X, y = model.design, model.response
+    curv = np.full(model.n_obs, 1.0 / kappa**2)
+    H = np.diag(model.prior_precision_diag(sigma, kappa)) + (X.T * curv) @ X
+    s = 1.0 / np.sqrt(np.diag(H))
+    chol = linalg.cho_factor(H * np.outer(s, s), lower=True)
+    mode = s * linalg.cho_solve(chol, s * (X.T @ (curv * y)))
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol[0]))) - np.sum(np.log(s)))
+    lj = log_joint(model, mode, theta)
+    return mode, lj + 0.5 * model.latent_dim * math.log(2.0 * math.pi) - 0.5 * log_det
+
+
+def posterior_function_reference(fit, xs, q=0, transform=None, level=0.95) -> PosteriorCurve:
+    """Sampled curve summaries formed sample-major: paths as samples x len(xs),
+    summarized down the columns by ``np.quantile`` (inverted CDF), ``mean``
+    and ``std``."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ncoef = fit.model.n_spline + fit.model.n_poly
+    coefs = fit.samples[:, :ncoef]
+    paths = coefs @ _curve_design(fit, xs, q).T
+    if transform == "exp":
+        if q == 0:
+            paths = np.exp(paths)
+        else:
+            base = coefs @ _curve_design(fit, xs, 0).T
+            paths = paths * np.exp(base)
+    tail = 0.5 * (1.0 - level)
+    lower, upper = np.quantile(paths, [tail, 1.0 - tail], axis=0, method="inverted_cdf")
+    return PosteriorCurve(
+        xs=xs, derivative_order=q, transform=transform,
+        mean=paths.mean(axis=0), sd=paths.std(axis=0, ddof=1),
+        lower=lower, upper=upper, samples=paths, level=level,
+    )
 
 
 def gaussian_marginal_exact(model: LatentModel, theta=()) -> float:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from osplines.cli import main
+from osplines.inference import aghq_fit
 
 
 def write_gaussian_csv(path, n=60, seed=3):
@@ -118,6 +119,37 @@ def test_fit_poisson_od_workflow(tmp_path):
     assert len(hyper) == 9  # 3x3 grid over (sigma, phi)
     weights = np.array([float(r["weight"]) for r in hyper])
     assert weights.sum() == pytest.approx(1.0)
+
+
+def test_fit_fixed_effects_are_order_statistics_of_the_draws(tmp_path, monkeypatch):
+    """fixed_effects.csv: per effect (and the implied reference) the sample
+    mean, SD and inverted-CDF 2.5%/97.5% order statistics of the draws."""
+    from osplines import cli
+
+    fits = []
+    monkeypatch.setattr(cli, "aghq_fit", lambda *a, **k: fits.append(aghq_fit(*a, **k)) or fits[-1])
+    data = tmp_path / "counts.csv"
+    write_count_csv(data)
+    rc = main([
+        "fit", "--data", str(data), "--x", "day", "--y", "deaths",
+        "--family", "gaussian", "--noise-sd", "1", "--order", "2", "--knots", "10",
+        "--psd-h", "7", "--psd-median", "0.6931", "--fixed", "weekday", "--quad", "3",
+        "--samples", "400", "--seed", "2", "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 0
+    model = fits[0].model
+    start = model.n_spline + model.n_poly
+    betas = fits[0].samples[:, start : start + model.n_fixed]
+    draws = np.column_stack([betas, -betas.sum(axis=1)])
+    rows = read_csv(tmp_path / "out" / "fixed_effects.csv")
+    assert [r["effect"] for r in rows][-1] == "(reference)" and len(rows) == 7
+    lower, upper = np.quantile(draws, [0.025, 0.975], axis=0, method="inverted_cdf")
+    np.testing.assert_array_equal([float(r["lower"]) for r in rows], lower)
+    np.testing.assert_array_equal([float(r["upper"]) for r in rows], upper)
+    sd = draws.std(axis=0, ddof=1)
+    np.testing.assert_allclose([float(r["sd"]) for r in rows], sd, rtol=1e-12)
+    mean = np.array([float(r["mean"]) for r in rows])
+    assert np.all(np.abs(mean - draws.mean(axis=0)) <= 1e-12 * sd)
 
 
 def test_fit_missing_column_exits_3(tmp_path, capsys):

@@ -33,8 +33,10 @@ from oracles import (
     brute_log_marginal,
     fd_hessian_of_log_joint,
     gaussian_marginal_exact,
+    gaussian_mode_dense,
     laplace_terms_in_original_coordinates,
     log_joint_scalar,
+    posterior_function_reference,
 )
 
 
@@ -292,18 +294,74 @@ def test_newton_outputs_match_original_coordinate_assembly(rng):
     od = large_covariate_od_model(rng)
     cases.append((od, od.theta_start()))
     for model, theta in cases:
-        ga = newton_mode(model, theta)
-        H, logdet, lj = laplace_terms_in_original_coordinates(model, ga.mode, theta)
-        scale = np.sqrt(np.outer(np.diag(H), np.diag(H)))
-        assert np.max(np.abs(ga.precision - H) / scale) <= 1e-10
-        assert np.max(np.abs(ga.chol @ ga.chol.T - H) / scale) <= 1e-10
-        npt.assert_array_equal(ga.chol, np.tril(ga.chol))
-        # entrywise rounding of H moves log det by up to eps * sum|H^-1 o H|, which
-        # reaches ~1e-9 relative on the large-covariate model (Jacobi-scaled
-        # condition number ~4e10); the oracle's own slogdet is no closer than that
-        floor = np.finfo(float).eps * np.sum(np.abs(np.linalg.inv(H) * H))
-        assert abs(ga.log_det - logdet) <= 1e-10 * abs(logdet) + floor
-        assert ga.log_joint_at_mode == pytest.approx(lj, rel=1e-10)
+        assert_matches_original_coordinate_assembly(model, theta)
+
+
+def assert_matches_original_coordinate_assembly(model, theta):
+    ga = newton_mode(model, theta)
+    H, logdet, lj = laplace_terms_in_original_coordinates(model, ga.mode, theta)
+    scale = np.sqrt(np.outer(np.diag(H), np.diag(H)))
+    assert np.max(np.abs(ga.precision - H) / scale) <= 1e-10
+    assert np.max(np.abs(ga.chol @ ga.chol.T - H) / scale) <= 1e-10
+    npt.assert_array_equal(ga.chol, np.tril(ga.chol))
+    # entrywise rounding of H moves log det by up to eps * sum|H^-1 o H|, which
+    # reaches ~1e-9 relative on the large-covariate model (Jacobi-scaled
+    # condition number ~4e10); the oracle's own slogdet is no closer than that
+    floor = np.finfo(float).eps * np.sum(np.abs(np.linalg.inv(H) * H))
+    assert abs(ga.log_det - logdet) <= 1e-10 * abs(logdet) + floor
+    assert ga.log_joint_at_mode == pytest.approx(lj, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian family's Gram matrix
+# ---------------------------------------------------------------------------
+
+
+def sine_gaussian_model(n=400, k=20, region=(0.0, 20.0), offset=0.0, fixed=False, poly_sd=None):
+    """Noisy sine on ``region``, noise SD 1, sigma on the quadrature grid."""
+    rng = np.random.default_rng(7)
+    xs = np.sort(rng.uniform(*region, n))
+    ys = offset + math.sqrt(3.0) * np.sin(xs / 2.0) + rng.normal(0.0, 1.0, n)
+    basis = OSplineBasis(3, build_equal_knots(*region, k))
+    kwargs = dict(poly_prior_sd=math.sqrt(1000.0) if poly_sd is None else poly_sd)
+    if fixed:
+        kwargs.update(fixed_design=sum_coded_design(np.arange(n) % 3)[0], fixed_prior_sd=2.0)
+    return build_model(
+        xs, ys, basis, "gaussian", family_hyper_fixed=1.0,
+        sigma_prior=prior_from_psd(PSDSpec(h=5.0, order=3), 3.0, 0.01), **kwargs,
+    )
+
+
+def test_gram_matrix_is_readonly_and_gaussian_only(rng):
+    model = sine_gaussian_model(n=50, k=8, fixed=True)
+    npt.assert_array_equal(model.gram, model.design.T @ model.design)
+    with pytest.raises(ValueError):
+        model.gram[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.gram = None
+    assert tiny_poisson_model()[0].gram is None
+    assert large_covariate_od_model(rng).gram is None
+
+
+def test_gram_newton_matches_original_coordinate_assembly():
+    """The Gram-scaled Hessian agrees with X' diag(curv) X assembled at the
+    mode, with a fixed-effect block and with ~1e6-scale covariate columns."""
+    assert_matches_original_coordinate_assembly(sine_gaussian_model(n=60, k=8, fixed=True), [0.0])
+    wide = sine_gaussian_model(n=60, k=8, region=(0.0, 600.0))
+    assert np.max(wide.design) > 1e6
+    assert_matches_original_coordinate_assembly(wide, [5.0])
+
+
+@pytest.mark.parametrize("log_sigma", [-2.0, 0.0, 1.5])
+def test_gram_newton_matches_dense_assembly(log_sigma):
+    """Mode and Laplace log marginal from the Gram path against a dense
+    assembly from the design's rows; also with the response far from zero,
+    where expanding the residuals through X'X and X'y would cancel."""
+    for model in (sine_gaussian_model(), sine_gaussian_model(offset=1e6, poly_sd=1e7)):
+        ga = newton_mode(model, [log_sigma])
+        mode, log_marg = gaussian_mode_dense(model, [log_sigma])
+        assert np.linalg.norm(ga.mode - mode) <= 1e-8 * np.linalg.norm(mode)
+        assert laplace_log_marginal(model, [log_sigma], ga) == pytest.approx(log_marg, rel=1e-8)
 
 
 def test_hessian_matches_finite_differences():
@@ -513,14 +571,88 @@ def test_exp_transform_derivative_chain_rule():
     npt.assert_allclose(chain, g1 * np.exp(g), rtol=1e-12)
 
 
-def test_posterior_function_validation():
+def test_posterior_function_validation(monkeypatch):
+    """Invalid arguments are rejected before any curve design is formed."""
     prior = ExponentialPrior(1.0)
-    model, _ = tiny_poisson_model(sigma_prior=prior)
+    model, _ = tiny_gaussian_model(n=12, k=4, sigma_prior=prior)
     fit = aghq_fit(model, num_quad=1, num_samples=10, seed=0)
-    with pytest.raises(InvalidArgumentError):
-        posterior_function(fit, [0.5], q=2)  # beyond basis order 1
-    with pytest.raises(InvalidArgumentError):
-        posterior_function(fit, [0.5], q=1, transform="exp2")
+    empty = aghq_fit(model, num_quad=1, num_samples=0, seed=0)
+    calls = []
+    design = inference._curve_design
+    monkeypatch.setattr(inference, "_curve_design", lambda *a: calls.append(a) or design(*a))
+    bad = [
+        (fit, dict(q=2, transform="exp")),
+        (fit, dict(q=1, transform="exp2")),
+        (fit, dict(q=3)),  # beyond basis order 2
+        (fit, dict(q=-1)),
+        (fit, dict(level=0.0)),
+        (fit, dict(level=1.0)),
+        (empty, dict()),
+    ]
+    for target, kwargs in bad:
+        with pytest.raises(InvalidArgumentError):
+            posterior_function(target, [0.5], **kwargs)
+        assert calls == [], kwargs
+    posterior_function(fit, [0.5], q=1, transform="exp")
+    assert len(calls) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the SD of one sample is NaN
+@pytest.mark.parametrize("num_samples", [1, 2, 3, 40, 3000])
+def test_row_summaries_are_numpy_inverted_cdf_quantiles(num_samples):
+    rng = np.random.default_rng(num_samples)
+    continuous = rng.normal(0.0, 1.0, (40, num_samples))
+    tied = rng.integers(0, 4, (40, num_samples)).astype(float)
+    rows = np.vstack([continuous, tied])  # more rows than one block
+    probs = [(0.5 * (1.0 - level), 1.0 - 0.5 * (1.0 - level)) for level in (0.5, 0.8, 0.95, 0.99)]
+    for lower_prob, upper_prob in probs + [(0.025, 0.975)]:
+        mean, sd, lower, upper = inference._row_summaries(rows, lower_prob, upper_prob)
+        want = np.quantile(rows, [lower_prob, upper_prob], axis=1, method="inverted_cdf")
+        npt.assert_array_equal(lower, want[0])
+        npt.assert_array_equal(upper, want[1])
+        npt.assert_allclose(mean, rows.mean(axis=1), rtol=1e-14, atol=1e-14)
+        if num_samples > 1:
+            npt.assert_allclose(sd, rows.std(axis=1, ddof=1), rtol=1e-12, atol=1e-14)
+
+
+def small_od_fit():
+    xs = np.linspace(0.0, 10.0, 25)
+    ys = np.random.default_rng(3).poisson(np.exp(0.7 * np.sin(xs / 2.0) + 1.0)).astype(float)
+    basis = OSplineBasis(2, build_equal_knots(0.0, 10.0, 6))
+    model = build_model(
+        xs, ys, basis, "poisson_od", sigma_prior=ExponentialPrior(1.0),
+        family_hyper_prior=ExponentialPrior(rate=math.log(2.0) / 0.2), poly_prior_sd=3.0,
+    )
+    return aghq_fit(model, num_quad=2, num_samples=500, seed=4)
+
+
+def test_posterior_function_matches_sample_major_reference():
+    """Row-major paths and row-block summaries reproduce the sample-major
+    np.quantile summaries.  The intervals are exactly the inverted-CDF order
+    statistics of the returned samples; those samples agree with the
+    sample-major product to rounding (BLAS may round the two layouts of a
+    small product differently in the last bit, so they need not be equal)."""
+    gauss, _ = tiny_gaussian_model(n=20, k=5, sigma_prior=ExponentialPrior(1.0))
+    fits = [aghq_fit(gauss, num_quad=3, num_samples=700, seed=3), small_od_fit()]
+    cases = [(0, None), (1, None), (2, None), (0, "exp"), (1, "exp")]
+    for fit in fits:
+        xs = np.linspace(fit.basis.knot_set.region_start, 1.0, 37)
+        for q, transform in cases:
+            got = posterior_function(fit, xs, q, transform=transform)
+            want = posterior_function_reference(fit, xs, q, transform=transform)
+            assert got.samples.shape == want.samples.shape == (fit.samples.shape[0], xs.size)
+            assert got.samples.T.flags.c_contiguous  # one contiguous row per x
+            tail = 0.5 * (1.0 - got.level)
+            lower, upper = np.quantile(got.samples, [tail, 1.0 - tail], axis=0,
+                                       method="inverted_cdf")
+            npt.assert_array_equal(got.lower, lower)
+            npt.assert_array_equal(got.upper, upper)
+            scale = np.max(np.abs(want.samples))
+            assert np.max(np.abs(got.samples - want.samples)) <= 1e-12 * scale
+            assert np.max(np.abs(got.lower - want.lower)) <= 1e-12 * scale
+            assert np.max(np.abs(got.upper - want.upper)) <= 1e-12 * scale
+            assert np.all(np.abs(got.mean - want.mean) <= 1e-12 * want.sd)
+            assert np.all(np.abs(got.sd - want.sd) <= 1e-12 * want.sd)
 
 
 # ---------------------------------------------------------------------------
