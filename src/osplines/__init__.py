@@ -26,17 +26,12 @@ from .errors import (
     OsplineError,
 )
 from .exact import (
-    CovGrid,
     GPFitResult,
     IWPKernel,
     OSplineKernel,
-    cov_grid,
-    exact_cov,
     exact_gp_fit,
     exact_hierarchical_fit,
     integrate_cov_oracle,
-    ospline_cov,
-    ospline_cov_matrix,
     sup_cov_error,
 )
 from .inference import (

@@ -19,8 +19,9 @@ import numpy as np
 from . import __version__
 from .basis import OSplineBasis, build_equal_knots
 from .errors import DataError, InvalidArgumentError, NumericError
-from .exact import IWPKernel, OSplineKernel, cov_grid
+from .exact import _cov_tables
 from .inference import (
+    _interval_probs,
     _row_summaries,
     aghq_fit,
     build_model,
@@ -227,10 +228,11 @@ def cmd_fit(args) -> int:
         betas = fit.samples[:, beta_cols]
         # one row per effect, the implied reference effect last
         effects = np.vstack([betas.T, -betas.sum(axis=1)])
+        summary = _row_summaries(effects, *_interval_probs(0.95))
         path = out / "fixed_effects.csv"
         write_csv(
             path, ["effect", "mean", "sd", "lower", "upper"],
-            list(zip(fixed_names + ["(reference)"], *_row_summaries(effects, 0.025, 0.975))),
+            list(zip(fixed_names + ["(reference)"], *summary)),
         )
         files.append(path)
 
@@ -271,12 +273,9 @@ def cmd_cov_compare(args) -> int:
 
     sup_errors = {}
     for k in knot_counts:
-        density = max(args.grid, 10 * k)
-        grid = np.linspace(a, b, density)
-        kern = IWPKernel(args.order, 1.0)
-        basis = OSplineBasis(args.order, build_equal_knots(a, b, k))
-        exact = cov_grid(kern, grid - a, grid - a, args.q1, args.q2).values
-        approx = cov_grid(OSplineKernel(basis, 1.0), grid, grid, args.q1, args.q2).values
+        grid, exact, approx = _cov_tables(
+            args.order, k, (a, b), max(args.grid, 10 * k), args.q1, args.q2
+        )
         err = np.abs(exact - approx)
         sup_errors[k] = float(err.max())
         rows = [

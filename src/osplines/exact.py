@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate, linalg
 
 from .aghq import adapt_quadrature
-from .basis import MAX_ORDER, OSplineBasis, _basis_columns
+from .basis import MAX_ORDER, OSplineBasis, _basis_columns, build_equal_knots
 from .errors import NumericError, _require
 
 
@@ -89,30 +89,21 @@ class IWPKernel:
         object.__setattr__(self, "sigma", float(self.sigma))
 
     def cov(self, s: float, t: float, q1: int = 0, q2: int = 0) -> float:
-        return exact_cov(self, s, t, q1, q2)
+        """Cov of the q1-th derivative at ``s`` and the q2-th derivative at ``t``."""
+        return float(self.cov_matrix([s], [t], q1, q2)[0, 0])
 
     def cov_matrix(self, s, t, q1: int = 0, q2: int = 0) -> np.ndarray:
         """len(s) x len(t) covariance block between derivatives q1 and q2."""
-        _check_orders(self.order, q1, q2)
+        p = self.order
+        _require(
+            0 <= q1 < p and 0 <= q2 < p, f"derivative orders ({q1}, {q2}) must lie in 0..{p - 1}"
+        )
         s = np.asarray(s, dtype=float)[:, None]
         t = np.asarray(t, dtype=float)[None, :]
         _require(bool(np.all(s >= 0)) and bool(np.all(t >= 0)), "locations must be >= 0")
         if self.sigma == 0.0:
             return np.zeros((s.shape[0], t.shape[1]))
         return self.sigma**2 * _wp_cov_terms(self.order, s, t, q1, q2)
-
-
-def _check_orders(p: int, q1: int, q2: int) -> None:
-    _require(0 <= q1 < p and 0 <= q2 < p, f"derivative orders ({q1}, {q2}) must lie in 0..{p - 1}")
-
-
-def exact_cov(kernel: IWPKernel, s: float, t: float, q1: int = 0, q2: int = 0) -> float:
-    """Cov of the q1-th derivative at ``s`` and the q2-th derivative at ``t``."""
-    _check_orders(kernel.order, q1, q2)
-    _require(s >= 0 and t >= 0, "locations must be >= 0")
-    if kernel.sigma == 0.0 or min(s, t) == 0.0:
-        return 0.0
-    return float(kernel.sigma**2 * _wp_cov_terms(kernel.order, float(s), float(t), q1, q2))
 
 
 def integrate_cov_oracle(
@@ -187,34 +178,16 @@ def integrate_cov_oracle(
 # ---------------------------------------------------------------------------
 
 
-def ospline_cov_matrix(
-    basis: OSplineBasis, sigma: float, s, t, q1: int = 0, q2: int = 0
-) -> np.ndarray:
-    """Covariance block sigma^2 * sum_i (1/d_i) phi_i^(q1)(s) phi_i^(q2)(t)."""
-    p = basis.order
-    _require(0 <= q1 <= p and 0 <= q2 <= p, f"derivative orders must lie in 0..{p}")
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    inv_d = 1.0 / basis.knot_set.spacings
-    left = _basis_columns(basis, s, q1) * inv_d
-    right = _basis_columns(basis, t, q2)
-    return sigma**2 * left @ right.T
-
-
-def ospline_cov(
-    basis: OSplineBasis, sigma: float, s: float, t: float, q1: int = 0, q2: int = 0
-) -> float:
-    """Covariance of the weight-sum approximation (spline part only)."""
-    return float(ospline_cov_matrix(basis, sigma, [s], [t], q1, q2)[0, 0])
-
-
 @dataclass(frozen=True)
 class OSplineKernel:
     """Covariance evaluator for the O-spline approximation itself.
 
-    Interchangeable with :class:`IWPKernel` in the dense GP comparator, which
-    is what turns weight-space fits and function-space conditioning into two
-    independent routes to the same posterior.
+    Locations are covariate values in the basis region.  In the dense GP
+    comparator it is interchangeable with :class:`IWPKernel` only when the
+    region starts at 0, since :class:`IWPKernel` takes distances from the
+    process origin.  There the two kernels turn weight-space fits and
+    function-space conditioning into two independent routes to the same
+    posterior.
     """
 
     basis: OSplineBasis
@@ -225,32 +198,30 @@ class OSplineKernel:
         return self.basis.order
 
     def cov(self, s: float, t: float, q1: int = 0, q2: int = 0) -> float:
-        return ospline_cov(self.basis, self.sigma, s, t, q1, q2)
+        """Cov of the q1-th derivative at ``s`` and the q2-th derivative at ``t``."""
+        return float(self.cov_matrix([s], [t], q1, q2)[0, 0])
 
     def cov_matrix(self, s, t, q1: int = 0, q2: int = 0) -> np.ndarray:
-        return ospline_cov_matrix(self.basis, self.sigma, s, t, q1, q2)
+        """Covariance block sigma^2 * sum_i (1/d_i) phi_i^(q1)(s) phi_i^(q2)(t)."""
+        p = self.basis.order
+        _require(0 <= q1 <= p and 0 <= q2 <= p, f"derivative orders must lie in 0..{p}")
+        inv_d = 1.0 / self.basis.knot_set.spacings
+        left = _basis_columns(self.basis, np.asarray(s, dtype=float), q1) * inv_d
+        right = _basis_columns(self.basis, np.asarray(t, dtype=float), q2)
+        return self.sigma**2 * left @ right.T
 
 
-@dataclass(frozen=True)
-class CovGrid:
-    """Covariance values over an (s, t) grid for one derivative pair."""
-
-    s_values: np.ndarray
-    t_values: np.ndarray
-    values: np.ndarray
-    derivative_orders: tuple[int, int]
-
-
-def cov_grid(kernel, s_values, t_values, q1: int = 0, q2: int = 0) -> CovGrid:
-    """Tabulate any kernel-like object (exact or O-spline) over a grid."""
-    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    return CovGrid(
-        s_values=s_values,
-        t_values=t_values,
-        values=kernel.cov_matrix(s_values, t_values, q1, q2),
-        derivative_orders=(int(q1), int(q2)),
-    )
+def _cov_tables(order: int, k: int, region: tuple, grid_density: int, q1: int, q2: int):
+    """Regular grid over ``region`` with the exact and ``k``-knot O-spline
+    covariance tables on it (sigma = 1), the exact one at ``grid - a``, its
+    distances from the origin.  At least 10 grid points per knot cell."""
+    a, b = region
+    _require(grid_density >= 10 * k, "grid density must be at least 10 points per knot cell")
+    basis = OSplineBasis(order, build_equal_knots(a, b, k))
+    grid = np.linspace(a, b, int(grid_density))
+    exact = IWPKernel(order, 1.0).cov_matrix(grid - a, grid - a, q1, q2)
+    approx = OSplineKernel(basis, 1.0).cov_matrix(grid, grid, q1, q2)
+    return grid, exact, approx
 
 
 def sup_cov_error(
@@ -263,21 +234,12 @@ def sup_cov_error(
 ) -> float:
     """Max |exact - O-spline| covariance over a regular (s, t) grid, sigma = 1.
 
-    The grid must resolve knot cells: at least 10 points per cell.  Each grid
-    cell is evaluated independently so the maximum is deterministic regardless
-    of evaluation order.
+    The grid must resolve knot cells: at least 10 points per cell (the
+    default).  Each grid cell is evaluated independently so the maximum is
+    deterministic regardless of evaluation order.
     """
-    from .basis import build_equal_knots
-
-    a, b = region
-    if grid_density is None:
-        grid_density = 10 * k
-    _require(grid_density >= 10 * k, "grid density must be at least 10 points per knot cell")
-    basis = OSplineBasis(order, build_equal_knots(a, b, k))
-    kern = IWPKernel(order, 1.0)
-    grid = np.linspace(a, b, int(grid_density))
-    exact = kern.cov_matrix(grid - a, grid - a, q1, q2)
-    approx = ospline_cov_matrix(basis, 1.0, grid, grid, q1, q2)
+    density = 10 * k if grid_density is None else grid_density
+    _, exact, approx = _cov_tables(order, k, region, density, q1, q2)
     return float(np.max(np.abs(exact - approx)))
 
 
@@ -298,6 +260,37 @@ def _poly_cov_matrix(s, t, q1: int, q2: int, taus: np.ndarray) -> np.ndarray:
         cl = math.factorial(l) / math.factorial(l - q1) * math.factorial(l) / math.factorial(l - q2)
         acc += taus[l] ** 2 * cl * s ** (l - q1) * t ** (l - q2)
     return acc
+
+
+def _target_cov(kernel, xs: np.ndarray, targets: Sequence[tuple[float, int]], taus: np.ndarray):
+    """Kernel and polynomial parts of the cross-covariance of each (x, q)
+    target g^(q)(x) with the values at ``xs``, and of its prior variance.
+
+    Rows follow the order of ``targets`` and are computed one derivative
+    order at a time.
+    """
+    m = len(targets)
+    k_cross, p_cross = np.empty((m, xs.size)), np.empty((m, xs.size))
+    k_var, p_var = np.empty(m), np.empty(m)
+    for qq in sorted({q for _, q in targets}):
+        idx = [i for i, (_, q) in enumerate(targets) if q == qq]
+        xq = np.array([targets[i][0] for i in idx])
+        k_cross[idx] = kernel.cov_matrix(xq, xs, qq, 0)
+        p_cross[idx] = _poly_cov_matrix(xq, xs, qq, 0, taus)
+        k_var[idx] = np.diag(kernel.cov_matrix(xq, xq, qq, qq))
+        p_var[idx] = np.diag(_poly_cov_matrix(xq, xq, qq, qq, taus))
+    return k_cross, p_cross, k_var, p_var
+
+
+def _factor(cov: np.ndarray):
+    """Lower Cholesky factor (``cho_factor`` form) of an observation covariance."""
+    try:
+        return linalg.cho_factor(cov, lower=True)
+    except linalg.LinAlgError:
+        raise NumericError(
+            f"observation covariance is not numerically positive definite "
+            f"(condition number {float(np.linalg.cond(cov)):.3e})"
+        )
 
 
 def _condition(chol, alpha, cross):
@@ -343,37 +336,16 @@ def exact_gp_fit(
     _require(taus.size == kernel.order, "need one polynomial prior SD per power 0..p-1")
     _require(bool(np.all(taus >= 0)), "polynomial prior SDs must be >= 0")
 
-    n = xs.size
-    if n > 0:
-        kobs = kernel.cov_matrix(xs, xs) + _poly_cov_matrix(xs, xs, 0, 0, taus)
-        kobs[np.diag_indices_from(kobs)] += noise_sd**2
-        try:
-            chol = linalg.cho_factor(kobs, lower=True)
-        except linalg.LinAlgError:
-            cond = float(np.linalg.cond(kobs))
-            raise NumericError(
-                f"observation covariance is not numerically positive definite "
-                f"(condition number {cond:.3e})"
-            )
-        alpha = linalg.cho_solve(chol, ys)
-
-    means = np.empty(len(predict_at))
-    sds = np.empty(len(predict_at))
     pts = [(float(x), int(q)) for x, q in predict_at]
-    for qq in sorted({q for _, q in pts}):
-        idx = [i for i, (_, q) in enumerate(pts) if q == qq]
-        xq = np.array([pts[i][0] for i in idx])
-        prior_var = np.diag(kernel.cov_matrix(xq, xq, qq, qq)) + np.diag(
-            _poly_cov_matrix(xq, xq, qq, qq, taus)
-        )
-        if n == 0:
-            means[idx] = 0.0
-            sds[idx] = np.sqrt(prior_var)
-            continue
-        kx = kernel.cov_matrix(xq, xs, qq, 0) + _poly_cov_matrix(xq, xs, qq, 0, taus)
-        means[idx], half = _condition(chol, alpha, kx)
-        var = prior_var - np.sum(half**2, axis=0)
-        sds[idx] = np.sqrt(np.maximum(var, 0.0))
+    k_cross, p_cross, k_var, p_var = _target_cov(kernel, xs, pts, taus)
+    prior_var = k_var + p_var
+    if xs.size == 0:
+        return GPFitResult(tuple(pts), means=np.zeros(len(pts)), sds=np.sqrt(prior_var))
+    kobs = kernel.cov_matrix(xs, xs) + _poly_cov_matrix(xs, xs, 0, 0, taus)
+    kobs[np.diag_indices_from(kobs)] += noise_sd**2
+    chol = _factor(kobs)
+    means, half = _condition(chol, linalg.cho_solve(chol, ys), k_cross + p_cross)
+    sds = np.sqrt(np.maximum(prior_var - np.sum(half**2, axis=0), 0.0))
     return GPFitResult(predict_at=tuple(pts), means=means, sds=sds)
 
 
@@ -439,13 +411,8 @@ def exact_hierarchical_fit(
     noise = noise_sd**2 * np.eye(n)
 
     # the targets stack one block of predict_x per derivative, in derivs order
-    kw_cross = np.vstack([kern_unit.cov_matrix(predict_x, xs, q, 0) for q in derivs])
-    poly_cross = np.vstack([_poly_cov_matrix(predict_x, xs, q, 0, taus) for q in derivs])
-    kw_pred = np.concatenate(
-        [np.diag(kern_unit.cov_matrix(predict_x, predict_x, q, q)) for q in derivs]
-    )
-    poly_pred = np.concatenate(
-        [np.diag(_poly_cov_matrix(predict_x, predict_x, q, q, taus)) for q in derivs]
+    kw_cross, poly_cross, kw_pred, poly_pred = _target_cov(
+        kern_unit, xs, [(x, q) for q in derivs for x in predict_x], taus
     )
 
     def obs_cov(sig2: float) -> np.ndarray:
@@ -453,12 +420,7 @@ def exact_hierarchical_fit(
 
     def log_post(theta):
         sigma = float(np.exp(theta[0]))
-        try:
-            chol = linalg.cho_factor(obs_cov(sigma**2), lower=True)
-        except linalg.LinAlgError:
-            raise NumericError(
-                "exact-comparator observation covariance failed to factorize"
-            )
+        chol = _factor(obs_cov(sigma**2))
         alpha = linalg.cho_solve(chol, ys)
         logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
         loglik = -0.5 * ys @ alpha - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)

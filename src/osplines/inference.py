@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Optional, Sequence
 
 import numpy as np
@@ -256,13 +257,11 @@ class GaussianApprox:
     iterations: int
 
 
-def newton_mode(
-    model: LatentModel,
-    theta=(),
-    init=None,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> GaussianApprox:
+_NEWTON_TOL = 1e-8
+_NEWTON_MAX_ITER = 100
+
+
+def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
     """Maximize the log joint over the latent field at fixed hyperparameters.
 
     Newton steps with step halving; the Gaussian family converges in a single
@@ -271,8 +270,9 @@ def newton_mode(
     evaluation floor below the convergence threshold even when covariate
     powers span many orders of magnitude.  Each iterate assembles and factors
     the negative Hessian once, then tests the gradient norm against
-    ``tol * (1 + |log joint|)``.  The Gaussian family's curvature is the
-    constant 1/kappa^2, so its Hessian scales the model's Gram matrix, O(k^2),
+    ``_NEWTON_TOL * (1 + |log joint|)``, raising :class:`IterationError`
+    after ``_NEWTON_MAX_ITER`` iterations.  The Gaussian family's curvature
+    is the constant 1/kappa^2, so its Hessian scales the Gram matrix, O(k^2),
     rather than forming X' C X, O(n k^2).  The gradient and the log joint
     still go through the residuals y - X w at O(n k): expanding them through
     X'X and X'y would cancel catastrophically when the response sits far from
@@ -314,11 +314,11 @@ def newton_mode(
         except linalg.LinAlgError:
             raise NumericError("indefinite negative Hessian during Newton iteration")
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol * (1.0 + abs(lj)):
+        if grad_norm <= _NEWTON_TOL * (1.0 + abs(lj)):
             break
-        if iterations == max_iter:
+        if iterations == _NEWTON_MAX_ITER:
             raise IterationError(
-                f"Newton did not converge in {max_iter} iterations; "
+                f"Newton did not converge in {_NEWTON_MAX_ITER} iterations; "
                 f"last |grad|={grad_norm:.3e}"
             )
         step = linalg.cho_solve(chol, grad)
@@ -376,7 +376,6 @@ class PosteriorFit:
     """Quadrature grid, per-point Gaussian approximations and latent draws."""
 
     model: LatentModel
-    basis: Optional[OSplineBasis]
     theta_points: np.ndarray
     weights: np.ndarray
     approxes: list
@@ -384,6 +383,10 @@ class PosteriorFit:
     samples: np.ndarray
     sample_point_index: np.ndarray
     seed: int
+
+    @property
+    def basis(self) -> Optional[OSplineBasis]:
+        return self.model.basis
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -400,7 +403,6 @@ def aghq_fit(
     num_quad: int = 10,
     num_samples: int = 3000,
     seed: int = 0,
-    basis: Optional[OSplineBasis] = None,
 ) -> PosteriorFit:
     """Adaptive-quadrature fit of the hyperparameter and latent posteriors.
 
@@ -413,8 +415,6 @@ def aghq_fit(
     _require(num_quad >= 1, "num_quad must be >= 1")
     _require(num_samples >= 0, "num_samples must be >= 0")
     _require(len(model.theta_names) <= 2, "at most two free hyperparameters are supported")
-    if basis is None:
-        basis = model.basis
 
     warm = None
 
@@ -453,7 +453,6 @@ def aghq_fit(
 
     return PosteriorFit(
         model=model,
-        basis=basis,
         theta_points=points,
         weights=weights,
         approxes=approxes,
@@ -479,6 +478,15 @@ def _curve_design(fit: PosteriorFit, xs, q: int) -> np.ndarray:
 
 # rows summarized at a time: the sorted copy stays at 32 x samples
 _SUMMARY_ROWS = 32
+
+
+def _interval_probs(level: float) -> tuple[float, float]:
+    """Tail probabilities of a central ``level`` interval, computed in
+    decimal and rounded once: 0.95 gives exactly 0.025 and 0.975, where
+    0.5 * (1 - 0.95) is 0.025000000000000022 and would pick the next order
+    statistic up whenever S * 0.025 is an integer."""
+    tail = (1 - Decimal(str(float(level)))) / 2
+    return float(tail), float(1 - tail)
 
 
 def _row_summaries(rows: np.ndarray, lower_prob: float, upper_prob: float):
@@ -530,9 +538,9 @@ def posterior_function(
     per sample.  Arguments are checked before any curve is evaluated.  The
     paths are formed with one contiguous row per x and summarized in small
     row blocks; interval endpoints are the exact inverted-CDF order
-    statistics, so a monotone transform of the samples maps intervals
-    exactly.  ``samples`` (samples x len(xs)) is a transposed view of those
-    rows.
+    statistics at the decimal tails of ``level`` (0.025 and 0.975 for 0.95),
+    so a monotone transform of the samples maps intervals exactly.
+    ``samples`` (samples x len(xs)) is a transposed view of those rows.
     """
     _require(transform in (None, "exp"), "transform must be None or 'exp'")
     _require(transform is None or q in (0, 1),
@@ -548,8 +556,7 @@ def posterior_function(
             paths = np.exp(paths)
         else:
             paths *= np.exp(_curve_design(fit, xs, 0) @ coefs.T)
-    tail = 0.5 * (1.0 - level)
-    mean, sd, lower, upper = _row_summaries(paths, tail, 1.0 - tail)
+    mean, sd, lower, upper = _row_summaries(paths, *_interval_probs(level))
     return PosteriorCurve(
         xs=xs,
         derivative_order=q,

@@ -51,14 +51,12 @@ class PSDSpec:
 
 @dataclass(frozen=True)
 class ExponentialPrior:
-    """Exponential density with the given rate, on sigma or on the PSD scale."""
+    """Exponential density on sigma with the given rate."""
 
     rate: float
-    target: str = "sigma"
 
     def __post_init__(self):
         _require(math.isfinite(self.rate) and self.rate > 0, "rate must be finite and positive")
-        _require(self.target in ("sigma", "psd"), "target must be 'sigma' or 'psd'")
 
     @property
     def median(self) -> float:
@@ -90,7 +88,7 @@ def prior_from_psd(spec: PSDSpec, u: float, alpha: float) -> ExponentialPrior:
     _require(u > 0, "u must be positive")
     _require(0.0 < alpha < 1.0, "alpha must lie strictly between 0 and 1")
     rate_psd = -math.log(alpha) / u
-    return ExponentialPrior(rate=rate_psd / spec.conversion, target="sigma")
+    return ExponentialPrior(rate=rate_psd / spec.conversion)
 
 
 def psd_conditional_check(kernel: IWPKernel, x: float, h: float, dps: int = 60) -> float:

@@ -13,6 +13,7 @@ summarized sample-major with ``np.quantile``, as the fitter once did.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, linalg
@@ -204,8 +205,10 @@ def posterior_function_reference(fit, xs, q=0, transform=None, level=0.95) -> Po
         else:
             base = coefs @ _curve_design(fit, xs, 0).T
             paths = paths * np.exp(base)
-    tail = 0.5 * (1.0 - level)
-    lower, upper = np.quantile(paths, [tail, 1.0 - tail], axis=0, method="inverted_cdf")
+    # the decimal tails of the level, rounded once (0.025/0.975 for 0.95)
+    tail = (1 - Fraction(str(level))) / 2
+    lower, upper = np.quantile(paths, [float(tail), float(1 - tail)], axis=0,
+                               method="inverted_cdf")
     return PosteriorCurve(
         xs=xs, derivative_order=q, transform=transform,
         mean=paths.mean(axis=0), sd=paths.std(axis=0, ddof=1),

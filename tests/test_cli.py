@@ -229,6 +229,25 @@ def test_cov_compare_outputs_and_bound(tmp_path, capsys):
     assert float(some["exact"]) == float(repr(float(some["exact"])))
 
 
+def test_cov_compare_sup_error_is_sup_cov_error(tmp_path, capsys):
+    """The CLI tabulates the same grid as ``sup_cov_error``, origin shift
+    included, so its printed and written maxima are that function's value."""
+    from osplines import sup_cov_error
+
+    rc = main([
+        "cov-compare", "--order", "3", "--knots-list", "5,10",
+        "--region", "2,7", "--q1", "1", "--q2", "0", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    for k in (5, 10):
+        want = sup_cov_error(3, k, (2.0, 7.0), q1=1, q2=0)
+        assert f"p=3 k={k} q=(1,0) sup_err={want:.6g} " in printed
+        rows = read_csv(tmp_path / f"covgrid_k{k}.csv")
+        assert len(rows) == (10 * k) ** 2
+        assert max(float(r["abs_err"]) for r in rows) == want
+
+
 def test_psd_command_conversions(capsys):
     assert main(["psd", "--order", "3", "--h", "1", "--sigma", "1"]) == 0
     out = capsys.readouterr().out

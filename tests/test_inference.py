@@ -615,6 +615,23 @@ def test_row_summaries_are_numpy_inverted_cdf_quantiles(num_samples):
             npt.assert_allclose(sd, rows.std(axis=1, ddof=1), rtol=1e-12, atol=1e-14)
 
 
+def test_posterior_function_intervals_sit_at_the_decimal_tails():
+    """With 3000 draws, S * tail is an integer at every level below, so the
+    float 0.5 * (1 - level) (0.025000000000000022 at 0.95) would pick the
+    next order statistic up; the bounds are the inverted-CDF quantiles at
+    the decimal tails."""
+    model, _ = tiny_gaussian_model(n=20, k=5, sigma_prior=ExponentialPrior(1.0))
+    fit = aghq_fit(model, num_quad=3, num_samples=3000, seed=6)
+    xs = np.linspace(0.1, 0.9, 9)
+    tails = {0.5: [0.25, 0.75], 0.8: [0.1, 0.9], 0.9: [0.05, 0.95],
+             0.95: [0.025, 0.975], 0.99: [0.005, 0.995]}
+    for level, probs in tails.items():
+        got = posterior_function(fit, xs, 1, level=level)
+        want = np.quantile(got.samples, probs, axis=0, method="inverted_cdf")
+        npt.assert_array_equal(got.lower, want[0])
+        npt.assert_array_equal(got.upper, want[1])
+
+
 def small_od_fit():
     xs = np.linspace(0.0, 10.0, 25)
     ys = np.random.default_rng(3).poisson(np.exp(0.7 * np.sin(xs / 2.0) + 1.0)).astype(float)
@@ -642,8 +659,8 @@ def test_posterior_function_matches_sample_major_reference():
             want = posterior_function_reference(fit, xs, q, transform=transform)
             assert got.samples.shape == want.samples.shape == (fit.samples.shape[0], xs.size)
             assert got.samples.T.flags.c_contiguous  # one contiguous row per x
-            tail = 0.5 * (1.0 - got.level)
-            lower, upper = np.quantile(got.samples, [tail, 1.0 - tail], axis=0,
+            assert got.level == 0.95
+            lower, upper = np.quantile(got.samples, [0.025, 0.975], axis=0,
                                        method="inverted_cdf")
             npt.assert_array_equal(got.lower, lower)
             npt.assert_array_equal(got.upper, upper)

@@ -47,7 +47,6 @@ def test_round_trip_identity(p, h, sigma):
 def test_prior_from_psd_examples():
     prior = prior_from_psd(PSDSpec(h=1.0, order=1), 1.0, 0.5)
     assert prior.rate == pytest.approx(math.log(2.0))
-    assert prior.target == "sigma"
 
     # tail condition survives the change of scale exactly
     spec = PSDSpec(h=5.0, order=3)
@@ -118,5 +117,3 @@ def test_exponential_prior_properties():
     assert prior.log_pdf(-0.1) == -math.inf
     with pytest.raises(InvalidArgumentError):
         ExponentialPrior(rate=0.0)
-    with pytest.raises(InvalidArgumentError):
-        ExponentialPrior(rate=1.0, target="variance")

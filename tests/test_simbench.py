@@ -97,8 +97,7 @@ def test_corr_reference_self_correlation(small_corr):
 def test_corr_knot_aligned_reference_is_exact():
     """First-order approximation reproduces exact correlations at knot points
     when the reference location itself is a knot."""
-    from osplines import IWPKernel, OSplineBasis, build_equal_knots
-    from osplines.exact import ospline_cov_matrix
+    from osplines import IWPKernel, OSplineBasis, OSplineKernel, build_equal_knots
 
     kern = IWPKernel(1, 1.0)
     for k in (3, 6, 30):  # 5.0 is a knot of each of these grids on [0, 15]
@@ -109,9 +108,9 @@ def test_corr_knot_aligned_reference_is_exact():
         rho_e = kern.cov_matrix(x0, knots)[0] / np.sqrt(
             kern.cov_matrix(x0, x0)[0, 0] * np.diag(kern.cov_matrix(knots, knots))
         )
-        rho_a = ospline_cov_matrix(basis, 1.0, x0, knots)[0] / np.sqrt(
-            ospline_cov_matrix(basis, 1.0, x0, x0)[0, 0]
-            * np.diag(ospline_cov_matrix(basis, 1.0, knots, knots))
+        approx = OSplineKernel(basis, 1.0)
+        rho_a = approx.cov_matrix(x0, knots)[0] / np.sqrt(
+            approx.cov_matrix(x0, x0)[0, 0] * np.diag(approx.cov_matrix(knots, knots))
         )
         npt.assert_allclose(rho_a, rho_e, atol=1e-12)
 
