@@ -285,10 +285,10 @@ def cmd_cov_compare(args) -> int:
         ]
         path = out / f"covgrid_k{k}.csv"
         write_csv(path, ["s", "t", "q1", "q2", "exact", "approx", "abs_err"], rows)
-        bound = 2.0 / k
+        bound = 2.0 / k * (b - a) ** (2 * args.order - 1 - args.q1 - args.q2)
         print(
             f"p={args.order} k={k} q=({args.q1},{args.q2}) "
-            f"sup_err={sup_errors[k]:.6g} bound_2_over_k={bound:.6g} "
+            f"sup_err={sup_errors[k]:.6g} bound={bound:.6g} "
             f"within_bound={sup_errors[k] <= bound + 1e-9}"
         )
     ks = sorted(sup_errors)

@@ -302,6 +302,19 @@ def _condition(chol, alpha, cross):
     return cross @ alpha, linalg.solve_triangular(chol[0], cross.T, lower=True)
 
 
+def _checked_data(order: int, xs, ys, noise_sd: float, poly_prior_sd):
+    """The dense comparator's data and polynomial prior SDs, checked, as arrays."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    taus = np.asarray(poly_prior_sd, dtype=float)
+    _require(xs.size == ys.size, "xs and ys must have equal length")
+    _require(xs.size <= 2000, "dense comparator is limited to n <= 2000")
+    _require(noise_sd > 0, "noise_sd must be positive")
+    _require(taus.size == order, "need one polynomial prior SD per power 0..p-1")
+    _require(bool(np.all(taus >= 0)), "polynomial prior SDs must be >= 0")
+    return xs, ys, taus
+
+
 @dataclass(frozen=True)
 class GPFitResult:
     """Posterior summaries of a dense GP fit at the requested (x, q) pairs."""
@@ -327,15 +340,7 @@ def exact_gp_fit(
     conditioning benchmark, not the production path.  ``kernel`` may be the
     exact process or an O-spline covariance adapter.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    _require(xs.size == ys.size, "xs and ys must have equal length")
-    _require(xs.size <= 2000, "dense comparator is limited to n <= 2000")
-    _require(noise_sd > 0, "noise_sd must be positive")
-    taus = np.asarray(poly_prior_sd, dtype=float)
-    _require(taus.size == kernel.order, "need one polynomial prior SD per power 0..p-1")
-    _require(bool(np.all(taus >= 0)), "polynomial prior SDs must be >= 0")
-
+    xs, ys, taus = _checked_data(kernel.order, xs, ys, noise_sd, poly_prior_sd)
     pts = [(float(x), int(q)) for x, q in predict_at]
     k_cross, p_cross, k_var, p_var = _target_cov(kernel, xs, pts, taus)
     prior_var = k_var + p_var
@@ -394,11 +399,7 @@ def exact_hierarchical_fit(
     covariance at each quadrature point, the linear system this method
     actually solves.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    taus = np.asarray(poly_prior_sd, dtype=float)
-    _require(noise_sd > 0, "noise_sd must be positive")
-    _require(taus.size == order, "need one polynomial prior SD per power 0..p-1")
+    xs, ys, taus = _checked_data(order, xs, ys, noise_sd, poly_prior_sd)
     predict_x = xs if predict_x is None else np.atleast_1d(np.asarray(predict_x, dtype=float))
     derivs = tuple(int(q) for q in derivs)
     _require(all(0 <= q < order for q in derivs), "derivative orders must lie in 0..p-1")

@@ -143,17 +143,13 @@ def load_config_file(path) -> dict:
     return values
 
 
-def _coerce(name: str, raw: str, template):
-    if isinstance(template, bool):
-        return raw.lower() in ("1", "true", "yes")
+def _coerce(raw: str, template):
     if isinstance(template, int):
         return int(raw)
     if isinstance(template, float):
         return float(raw)
     if isinstance(template, tuple):
-        parts = [p for p in raw.replace(",", " ").split() if p]
-        elem = template[0] if template else 0.0
-        return tuple(int(p) if isinstance(elem, int) else float(p) for p in parts)
+        return tuple(type(template[0])(p) for p in raw.replace(",", " ").split())
     return raw
 
 
@@ -171,7 +167,7 @@ def make_config(experiment: str, profile: str = "full", overrides: dict | None =
             raise InvalidArgumentError(
                 f"unknown config key '{key}' for experiment '{experiment}'"
             )
-        setattr(cfg, key, _coerce(key, raw, fields[key]) if isinstance(raw, str) else raw)
+        setattr(cfg, key, _coerce(raw, fields[key]) if isinstance(raw, str) else raw)
     _require(cfg.experiment == experiment, "config 'experiment' key does not match")
     return cfg
 

@@ -8,7 +8,9 @@ The dense exact-process posterior is conditioned point by point and order by
 order, as the comparator once did, so its consolidated path has a reference.
 The Gaussian mode is solved from a likelihood Hessian assembled from the
 design itself rather than from the model's Gram matrix, and curves are
-summarized sample-major with ``np.quantile``, as the fitter once did.
+summarized sample-major with ``np.quantile``, as the fitter once did.  The
+quadrature's mode is found by Nelder-Mead and its curvature by a separate
+finite-difference Hessian, as ``adapt_quadrature`` once did.
 """
 
 import itertools
@@ -16,9 +18,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import integrate, linalg, optimize
 from scipy.special import gammaln, logsumexp
 
+from osplines.aghq import AdaptedGrid
 from osplines.basis import KnotSet, test_function_eval
 from osplines.exact import IWPKernel, _poly_cov_matrix
 from osplines.inference import LatentModel, PosteriorCurve, _curve_design, newton_mode
@@ -274,3 +277,68 @@ def exact_mixture_moments(order, xs, ys, noise_sd, poly_prior_sd, predict_x, der
             second[q] += wgt * (vq + mq**2)
     sds = {q: np.sqrt(np.maximum(second[q] - means[q] ** 2, 0.0)) for q in derivs}
     return means, sds
+
+
+def fd_hessian(fun, x, step=1e-3):
+    """Central finite-difference Hessian of ``fun`` at ``x``."""
+    x = np.asarray(x, dtype=float)
+    d = x.size
+    h = step * (1.0 + np.abs(x))
+    hess = np.empty((d, d))
+    f0 = fun(x)
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h[i]
+        hess[i, i] = (fun(x + ei) - 2.0 * f0 + fun(x - ei)) / h[i] ** 2
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h[j]
+            hess[i, j] = hess[j, i] = (
+                fun(x + ei + ej) - fun(x + ei - ej) - fun(x - ei + ej) + fun(x - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return hess
+
+
+def adapt_quadrature_nelder_mead(log_post, theta0, num_quad: int) -> AdaptedGrid:
+    """``adapt_quadrature`` with the mode from Nelder-Mead and the curvature
+    from a separate finite-difference Hessian at that mode.
+
+    The search must converge within 2000 evaluations; the grid is built as
+    in the library, with states kept at the grid points.
+    """
+    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    d = theta0.size
+    memo = {}
+
+    def neg(th):
+        key = tuple(np.asarray(th, dtype=float).tolist())
+        if key not in memo:
+            memo[key] = log_post(np.asarray(th, dtype=float))[0]
+        return -memo[key]
+
+    res = optimize.minimize(
+        neg, theta0, method="Nelder-Mead",
+        options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000, "maxfev": 2000},
+    )
+    assert res.success, res.message
+    mode = np.atleast_1d(res.x.astype(float))
+    neg_hess = fd_hessian(neg, mode)
+    chol_cov = np.linalg.inv(np.linalg.cholesky(neg_hess)).T
+
+    nodes, base_w = np.polynomial.hermite.hermgauss(num_quad)
+    z_grid = np.array(list(itertools.product(range(num_quad), repeat=d)), dtype=int)
+    z = nodes[z_grid]
+    log_adjust = (
+        np.log(base_w)[z_grid].sum(axis=1) + (z**2).sum(axis=1) + 0.5 * d * np.log(2.0)
+        + np.sum(np.log(np.abs(np.diag(chol_cov))))
+    )
+    points = mode + np.sqrt(2.0) * z @ chol_cov.T
+    values, states = zip(*(log_post(pt) for pt in points))
+    values = np.array(values)
+    log_normconst = float(logsumexp(values + log_adjust))
+    return AdaptedGrid(
+        mode=mode, neg_hessian=neg_hess, chol_cov=chol_cov, points=points,
+        log_post_values=values, log_adjust=log_adjust,
+        weights=np.exp(values + log_adjust - log_normconst),
+        log_normconst=log_normconst, states=list(states),
+    )

@@ -6,6 +6,7 @@ import pytest
 from osplines import OSplineBasis, aghq_fit, build_equal_knots, build_model, prior_from_psd, PSDSpec
 from osplines import inference
 from osplines.aghq import adapt_quadrature
+from osplines.errors import IterationError
 
 
 def correlated_log_post(calls):
@@ -37,20 +38,34 @@ def test_quadrature_evaluates_each_theta_once_and_keeps_grid_states():
     np.testing.assert_allclose(grid.weights.sum(), 1.0)
 
 
-def test_unconverged_optimizer_is_logged(caplog):
-    with caplog.at_level(logging.WARNING, logger="osplines"):
-        adapt_quadrature(correlated_log_post([]), [0.0, 0.0], 3, maxiter=5)
-    records = [r for r in caplog.records if r.name == "osplines"]
-    assert len(records) == 1
-    assert records[0].levelno == logging.WARNING
-    message = records[0].getMessage()
-    assert "did not converge after" in message
-    assert "Maximum number of function evaluations" in message
+def test_newton_search_finds_a_gaussian_mode_in_two_stencils():
+    """On a quadratic the stencil is exact, so one Newton step lands on the
+    mode and a second stencil confirms it: at most 2 * 3^d distinct thetas
+    before the grid."""
+    calls = []
+    grid = adapt_quadrature(correlated_log_post(calls), [0.0, 0.0], 3)
+    before = calls[: -grid.points.shape[0]]
+    assert len(set(before)) <= 2 * 3**2
+    np.testing.assert_allclose(grid.mode, [0.3, -0.2], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(grid.neg_hessian, [[4.0, 1.0], [1.0, 2.0]], rtol=1e-6)
 
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="osplines"):
-        adapt_quadrature(correlated_log_post([]), [0.0, 0.0], 3)
-    assert not [r for r in caplog.records if r.name == "osplines"]
+
+def test_newton_search_steps_out_of_a_convex_region():
+    # -log(1 + theta^2) is convex for |theta| > 1, so the search starts with
+    # gradient steps and finishes with Newton steps at the mode 0
+    grid = adapt_quadrature(lambda th: (-float(np.log1p(th[0] ** 2)), None), [3.0], 3)
+    assert abs(grid.mode[0]) < 1e-3
+    np.testing.assert_allclose(grid.neg_hessian, [[2.0]], rtol=1e-4)
+
+
+@pytest.mark.parametrize("log_post", [
+    lambda th: (2.0 * float(th[0]), None),  # no mode: steps until the iteration cap
+    lambda th: (1.0, None),  # flat: the first step is zero
+    lambda th: (float("nan"), None),  # the first step is not finite
+], ids=["linear", "constant", "nan"])
+def test_newton_search_without_a_mode_raises(log_post):
+    with pytest.raises(IterationError):
+        adapt_quadrature(log_post, [0.0], 3)
 
 
 def test_library_logger_writes_nothing_by_default():

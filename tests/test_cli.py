@@ -248,6 +248,23 @@ def test_cov_compare_sup_error_is_sup_cov_error(tmp_path, capsys):
         assert max(float(r["abs_err"]) for r in rows) == want
 
 
+def test_cov_compare_bound_scales_with_the_region(tmp_path, capsys):
+    """Both covariances scale by (b - a)^(2p - 1 - q1 - q2) with the region,
+    5^4 = 625 here, and the printed bound 2/k scales with them."""
+    from osplines import sup_cov_error
+
+    rc = main([
+        "cov-compare", "--order", "3", "--knots-list", "5,10",
+        "--region", "2,7", "--q1", "1", "--q2", "0", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    for k in (5, 10):
+        ratio = sup_cov_error(3, k, (2.0, 7.0), q1=1, q2=0) / sup_cov_error(3, k, q1=1, q2=0)
+        assert ratio == pytest.approx(625.0, rel=1e-9)
+        assert f"bound={2.0 / k * 625.0:.6g} within_bound=True" in printed
+
+
 def test_psd_command_conversions(capsys):
     assert main(["psd", "--order", "3", "--h", "1", "--sigma", "1"]) == 0
     out = capsys.readouterr().out

@@ -288,6 +288,22 @@ def test_gp_fit_validation():
         exact_gp_fit(kern, [0.5], [1.0], 1.0, [1.0], [(0.5, 0)])
 
 
+@pytest.mark.parametrize("n_x, n_y, taus", [
+    (10, 9, [1.0, 1.0, 1.0]),  # unequal lengths
+    (2001, 2001, [1.0, 1.0, 1.0]),  # above the dense limit
+    (10, 10, [1.0, -1.0, 1.0]),  # negative polynomial prior SD
+])
+def test_hierarchical_fit_validates_data_before_any_covariance(monkeypatch, n_x, n_y, taus):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("invalid data reached the covariances")
+
+    monkeypatch.setattr(exact.IWPKernel, "cov_matrix", unreachable)
+    monkeypatch.setattr(exact, "adapt_quadrature", unreachable)
+    prior = prior_from_psd(PSDSpec(h=1.0, order=3), 1.0, 0.5)
+    with pytest.raises(InvalidArgumentError):
+        exact_hierarchical_fit(3, np.linspace(0.0, 1.0, n_x), np.zeros(n_y), 1.0, taus, prior)
+
+
 def test_gp_fit_cholesky_failure_reports_condition_number():
     from osplines import NumericError
 

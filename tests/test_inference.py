@@ -30,6 +30,7 @@ from osplines import (
 from osplines import inference
 from osplines.inference import GaussianApprox
 from oracles import (
+    adapt_quadrature_nelder_mead,
     brute_log_marginal,
     fd_hessian_of_log_joint,
     gaussian_marginal_exact,
@@ -465,6 +466,35 @@ def test_aghq_gaussian_grid_matches_analytic_marginal():
     npt.assert_allclose(fit.weights, direct_w, atol=1e-6)
 
 
+@pytest.mark.parametrize("case", ["gaussian", "poisson_od"])
+def test_newton_search_matches_nelder_mead_reference(monkeypatch, case):
+    """Fits through the library's Newton search and through the Nelder-Mead
+    reference agree: theta-modes within 0.01 posterior SDs of theta, and the
+    mixture moments within 1e-6 (Gaussian sine, n=400, k=20) or 1e-3
+    (poisson_od, 5x5 grid) posterior SDs."""
+    model, tol = (sine_gaussian_model(), 1e-6) if case == "gaussian" else (small_od_model(), 1e-3)
+    runs = []
+    for adapt in (inference.adapt_quadrature, adapt_quadrature_nelder_mead):
+        grids = []
+
+        def recorded(*args, adapt=adapt, grids=grids):
+            grids.append(adapt(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(inference, "adapt_quadrature", recorded)
+        runs.append((aghq_fit(model, num_quad=5, num_samples=0), grids[0]))
+    (fit, grid), (ref, ref_grid) = runs
+    theta_sd = np.sqrt(np.diag(np.linalg.inv(ref_grid.neg_hessian)))
+    assert np.all(np.abs(grid.mode - ref_grid.mode) <= 0.01 * theta_sd)
+    knots = model.basis.knot_set
+    xs = np.linspace(knots.region_start, knots.region_end, 41)
+    for q in (0, 1):
+        mean, sd = posterior_moments(fit, xs, q)
+        ref_mean, ref_sd = posterior_moments(ref, xs, q)
+        assert np.max(np.abs(mean - ref_mean) / ref_sd) <= tol
+        assert np.max(np.abs(sd - ref_sd) / ref_sd) <= tol
+
+
 def test_aghq_seed_stability_of_mean_curves(rng):
     xs = np.linspace(0.0, 20.0, 100)
     ys = np.sqrt(3.0) * np.sin(xs / 2.0) + rng.standard_normal(100)
@@ -632,15 +662,18 @@ def test_posterior_function_intervals_sit_at_the_decimal_tails():
         npt.assert_array_equal(got.upper, want[1])
 
 
-def small_od_fit():
+def small_od_model():
     xs = np.linspace(0.0, 10.0, 25)
     ys = np.random.default_rng(3).poisson(np.exp(0.7 * np.sin(xs / 2.0) + 1.0)).astype(float)
     basis = OSplineBasis(2, build_equal_knots(0.0, 10.0, 6))
-    model = build_model(
+    return build_model(
         xs, ys, basis, "poisson_od", sigma_prior=ExponentialPrior(1.0),
         family_hyper_prior=ExponentialPrior(rate=math.log(2.0) / 0.2), poly_prior_sd=3.0,
     )
-    return aghq_fit(model, num_quad=2, num_samples=500, seed=4)
+
+
+def small_od_fit():
+    return aghq_fit(small_od_model(), num_quad=2, num_samples=500, seed=4)
 
 
 def test_posterior_function_matches_sample_major_reference():
