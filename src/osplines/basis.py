@@ -2,11 +2,18 @@
 
 The order-``p`` basis on knots ``s_1 < ... < s_k`` (with the process origin
 ``s_0`` at the left end of the region) is built by integrating the indicator
-test function of each knot cell ``p`` times.  Basis function ``i`` therefore
-vanishes on ``[s_0, s_{i-1}]``, equals ``(x - s_{i-1})^p / p!`` inside its own
-cell, and continues to the right as the degree-``(p-1)`` polynomial
+test function of each knot cell ``p`` times.  Basis function ``i`` is
+therefore a difference of two truncated powers,
 
-    sum_{j=1..p} d_i^j (x - s_i)^{p-j} / (j! (p-j)!),   d_i = s_i - s_{i-1}.
+    phi_i(x) = [(x - s_{i-1})_+^p - (x - s_i)_+^p] / p!,
+
+which vanishes on ``[s_0, s_{i-1}]``, equals ``(x - s_{i-1})^p / p!`` inside
+its own cell, and continues to the right as the degree-``(p-1)`` polynomial
+
+    sum_{j=1..p} d_i^j (x - s_i)^{p-j} / (j! (p-j)!),   d_i = s_i - s_{i-1}
+
+(expand ``(z + d_i)^p`` with ``z = x - s_i``).  For ``p = 0`` the
+difference is the step ``[x > s_{i-1}] - [x > s_i]``, the cell indicator.
 
 Differentiating the order-``p`` basis ``q`` times lands exactly on the
 order-``(p-q)`` basis over the same knots, so joint inference for a function
@@ -149,28 +156,30 @@ class DesignBlock:
 
 
 def _basis_columns(basis: OSplineBasis, xs: np.ndarray, q: int) -> np.ndarray:
-    """(n, k) array of q-th basis derivatives at ``xs``; no range validation."""
-    p_eff = basis.order - q
-    x = np.asarray(xs, dtype=float)
+    """(n, k) array of q-th basis derivatives at ``xs``; no range validation.
+
+    With m = p - q, column i is [(x - s_{i-1})_+^m - (x - s_i)_+^m] / m!, and
+    for m = 0 the indicator of the right-closed cell (s_{i-1}, s_i].  Powers
+    are taken by repeated multiplication, which is faster than ``**``; two
+    (n, k) temporaries are held besides the result.
+    """
+    m = basis.order - q
+    x = np.asarray(xs, dtype=float)[:, None]
     ks = basis.knot_set
-    lows = ks.lower_knots
-    highs = ks.knots
-    spac = ks.spacings
-    cols = np.zeros((x.size, ks.size))
-    for j in range(ks.size):
-        lo, hi, d = lows[j], highs[j], spac[j]
-        mid = (x > lo) & (x <= hi)
-        if p_eff == 0:
-            cols[mid, j] = 1.0
-            continue
-        cols[mid, j] = (x[mid] - lo) ** p_eff / _FACT[p_eff]
-        right = x > hi
-        if right.any():
-            z = x[right] - hi
-            acc = np.zeros_like(z)
-            for m in range(1, p_eff + 1):
-                acc += d**m * z ** (p_eff - m) / (_FACT[m] * _FACT[p_eff - m])
-            cols[right, j] = acc
+    if m == 0:
+        return ((x > ks.lower_knots) & (x <= ks.knots)).astype(float)
+    base = x - ks.lower_knots
+    np.maximum(base, 0.0, out=base)
+    cols = base.copy()
+    for _ in range(m - 1):
+        cols *= base
+    np.subtract(x, ks.knots, out=base)
+    np.maximum(base, 0.0, out=base)
+    power = base.copy()
+    for _ in range(m - 1):
+        power *= base
+    cols -= power
+    cols /= _FACT[m]
     return cols
 
 

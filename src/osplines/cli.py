@@ -21,6 +21,7 @@ from .basis import OSplineBasis, build_equal_knots
 from .errors import DataError, InvalidArgumentError, NumericError
 from .exact import _cov_tables
 from .inference import (
+    DEFAULT_POLY_PRIOR_SD,
     _interval_probs,
     _row_summaries,
     aghq_fit,
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="prior median for the noise SD when it is estimated")
     fit.add_argument("--od-median", type=float, default=0.1,
                      help="prior median for the overdispersion SD")
-    fit.add_argument("--poly-sd", type=float, default=np.sqrt(1000.0),
+    fit.add_argument("--poly-sd", type=float, default=DEFAULT_POLY_PRIOR_SD,
                      help="prior SD of the polynomial coefficients")
     fit.add_argument("--fixed", help="comma-separated categorical columns, sum-coded")
     fit.add_argument("--fixed-sd", type=float, default=10.0,

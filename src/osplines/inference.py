@@ -65,9 +65,9 @@ class LatentModel:
     Poisson family treats the overdispersion SD the same way.  A scalar prior
     SD is broadcast over its block.  Instances are frozen and hold read-only
     copies of their arrays, so what is derived from the data at construction
-    (the stacked ``design``, which the blocks view, its column norms, the
-    likelihood constant and, for the Gaussian family, the Gram matrix
-    ``gram`` = design' design) stays valid.
+    (the stacked ``design``, which the blocks view, the likelihood constant
+    and, for the Gaussian family, the Gram matrix ``gram`` = design' design)
+    stays valid.
     """
 
     response: np.ndarray
@@ -86,7 +86,6 @@ class LatentModel:
     design: np.ndarray = field(init=False, repr=False)
     # X'X for the Gaussian family, whose likelihood curvature is constant; else None
     gram: Optional[np.ndarray] = field(init=False, repr=False)
-    _col_norms: np.ndarray = field(init=False, repr=False)
     _lik_const: float = field(init=False, repr=False)
     # the theta layout: (slot in split_theta's pair, name, prior) per free hyperparameter
     _free_hypers: tuple = field(init=False, repr=False)
@@ -148,14 +147,7 @@ class LatentModel:
         if self.fixed_design is not None:
             put("fixed_design", design[:, k + p : k + p + blocks[2].shape[1]])
         gaussian = self.family == "gaussian"
-        if gaussian:
-            gram = design.T @ design
-            gram.setflags(write=False)
-            col = np.sqrt(np.diag(gram))
-        else:
-            gram, col = None, np.linalg.norm(design, axis=0)
-        put("gram", gram)
-        put("_col_norms", _readonly(np.where(col > 0.0, col, 1.0)))
+        put("gram", _readonly(design.T @ design) if gaussian else None)
         put("_lik_const", -0.5 * n * math.log(2.0 * math.pi) if gaussian
             else -float(np.sum(gammaln(self.response + 1.0))))
         slots = ((0, "log_sigma", self.sigma_prior),
@@ -253,99 +245,95 @@ class GaussianApprox:
     chol: np.ndarray
     log_det: float
     log_joint_at_mode: float
-    grad_norm: float
+    predicted_gain: float  # g' H^-1 g / 2 at the mode, in nats
     iterations: int
 
 
-_NEWTON_TOL = 1e-8
+_NEWTON_TOL = 1e-14  # nats of predicted gain
 _NEWTON_MAX_ITER = 100
 
 
 def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
     """Maximize the log joint over the latent field at fixed hyperparameters.
 
-    Newton steps with step halving; the Gaussian family converges in a single
-    step from any start.  The iteration runs in coordinates ws = w * col (col
-    the design's column norms), which keeps the gradient's floating-point
-    evaluation floor below the convergence threshold even when covariate
-    powers span many orders of magnitude.  Each iterate assembles and factors
-    the negative Hessian once, then tests the gradient norm against
-    ``_NEWTON_TOL * (1 + |log joint|)``, raising :class:`IterationError`
-    after ``_NEWTON_MAX_ITER`` iterations.  The Gaussian family's curvature
-    is the constant 1/kappa^2, so its Hessian scales the Gram matrix, O(k^2),
-    rather than forming X' C X, O(n k^2).  The gradient and the log joint
-    still go through the residuals y - X w at O(n k): expanding them through
-    X'X and X'y would cancel catastrophically when the response sits far from
-    zero.  The returned precision (diagonal prior precision plus
-    design-weighted likelihood curvature), Cholesky factor and log-determinant
-    are the last factorization rescaled to original coordinates.
+    Newton steps with step halving on the latent vector itself; the Gaussian
+    family converges in a single step from any start.  Each iterate forms the
+    gradient g = X'u - q w and the negative Hessian H = X' diag(curv) X +
+    diag(q), factors H once and stops when the step's predicted gain
+    g' H^-1 g / 2 (half the squared Newton decrement, which does not depend
+    on the coordinates) is at most ``_NEWTON_TOL`` nats, raising
+    :class:`IterationError` after ``_NEWTON_MAX_ITER`` iterations.  The
+    Gaussian family's curvature is the constant 1/kappa^2, so its Hessian
+    scales the Gram matrix, O(k^2), rather than forming X' C X, O(n k^2).
+    The gradient and the log joint still go through the residuals y - X w at
+    O(n k): expanding them through X'X and X'y would cancel catastrophically
+    when the response sits far from zero.  The returned precision, Cholesky
+    factor and log-determinant are the last factorization's.
     """
     sigma, hyper = model.split_theta(theta)
     qdiag = model.prior_precision_diag(sigma, hyper)
     log_hyper = model.log_hyperprior(theta)
-    X, col = model.design, model._col_norms
-    colcol = np.outer(col, col)
-    qdiag_s = qdiag / col**2
+    X = model.design
 
-    def score(ws):
+    def score(w):
         try:
-            return _log_prior_lik(model, ws / col, qdiag, hyper) + log_hyper
+            return _log_prior_lik(model, w, qdiag, hyper) + log_hyper
         except NumericError:
             return -math.inf
 
     _require(init is None or np.size(init) == model.latent_dim, "init has wrong length")
-    ws = np.zeros(model.latent_dim) if init is None else np.asarray(init, dtype=float) * col
-    lj = score(ws)
+    w = np.zeros(model.latent_dim) if init is None else np.array(init, dtype=float)
+    lj = score(w)
     if not np.isfinite(lj):  # non-finite or overflowing start
-        ws = np.zeros(model.latent_dim)
-        lj = score(ws)
+        w = np.zeros(model.latent_dim)
+        lj = score(w)
 
     iterations = 0
     while True:
-        u, curv = _lik_grad_curv(model, X @ (ws / col), hyper)
-        grad = (X.T @ u) / col - qdiag_s * ws
+        u, curv = _lik_grad_curv(model, X @ w, hyper)
+        grad = X.T @ u - qdiag * w
         if model.gram is None:
-            hess = (X.T * curv) @ X / colcol
+            hess = (X.T * curv) @ X
         else:  # constant curvature: scale the Gram matrix
-            hess = model.gram * (curv / colcol)
-        hess[np.diag_indices_from(hess)] += qdiag_s
+            hess = model.gram * curv
+        hess[np.diag_indices_from(hess)] += qdiag
         try:
             chol = linalg.cho_factor(hess, lower=True)
         except linalg.LinAlgError:
             raise NumericError("indefinite negative Hessian during Newton iteration")
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= _NEWTON_TOL * (1.0 + abs(lj)):
+        step = linalg.cho_solve(chol, grad)
+        gain = 0.5 * float(grad @ step)
+        if gain <= _NEWTON_TOL:
             break
         if iterations == _NEWTON_MAX_ITER:
             raise IterationError(
                 f"Newton did not converge in {_NEWTON_MAX_ITER} iterations; "
-                f"last |grad|={grad_norm:.3e}"
+                f"last predicted gain {gain:.3e}"
             )
-        step = linalg.cho_solve(chol, grad)
         slack = 1e-12 * (1.0 + abs(lj))
         # a step predicted to gain less than the slack is below what the log
         # joint resolves (its terms may cancel to near zero), so it is taken whole
-        whole = 0.5 * float(grad @ step) <= slack
+        whole = gain <= slack
         scale = 1.0
         for _ in range(50):
-            ws_new = ws + scale * step
-            lj_new = score(ws_new)
+            w_new = w + scale * step
+            lj_new = score(w_new)
             if lj_new > lj - slack or (whole and np.isfinite(lj_new)):
                 break
             scale *= 0.5
         else:
-            raise IterationError(f"line search failed at |grad|={grad_norm:.3e}")
-        ws, lj = ws_new, lj_new
+            raise IterationError(f"line search failed at predicted gain {gain:.3e}")
+        w, lj = w_new, lj_new
         iterations += 1
 
-    chol_s = np.tril(chol[0])
+    lower = np.tril(chol[0])
     return GaussianApprox(
-        mode=ws / col,
-        precision=hess * colcol,
-        chol=col[:, None] * chol_s,
-        log_det=2.0 * float(np.sum(np.log(np.diag(chol_s))) + np.sum(np.log(col))),
+        mode=w,
+        precision=hess,
+        chol=lower,
+        log_det=2.0 * float(np.sum(np.log(np.diag(lower)))),
         log_joint_at_mode=lj,
-        grad_norm=grad_norm,
+        predicted_gain=gain,
         iterations=iterations,
     )
 

@@ -25,6 +25,7 @@ from .basis import OSplineBasis, build_equal_knots
 from .errors import InvalidArgumentError, NumericError, _require
 from .exact import IWPKernel, OSplineKernel, exact_hierarchical_fit
 from .inference import (
+    DEFAULT_POLY_PRIOR_SD,
     aghq_fit,
     build_model,
     max_condition_number,
@@ -192,7 +193,7 @@ def write_csv(path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_manifest(out_dir, config, extra: dict | None = None) -> Path:
+def write_manifest(out_dir, config) -> Path:
     """JSON manifest: seed, config, config hash, versions.  No timestamps."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,8 +211,6 @@ def write_manifest(out_dir, config, extra: dict | None = None) -> Path:
             "osplines": __version__,
         },
     }
-    if extra:
-        payload.update(extra)
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
@@ -348,14 +347,13 @@ def run_benchmark_study(config: BenchConfig) -> BenchResult:
     p = config.order
     a, b = config.region
     prior = prior_from_psd(PSDSpec(h=config.psd_h, order=p), config.psd_u, config.psd_alpha)
-    taus = None  # build_model default
     derivs = (0, 1, 2)
 
     def ospline_pipeline(xs, ys, k, seed):
         basis = OSplineBasis(p, build_equal_knots(a, b, int(k)))
         model = build_model(
             xs, ys, basis, "gaussian",
-            sigma_prior=prior, family_hyper_fixed=config.noise_sd, poly_prior_sd=taus,
+            sigma_prior=prior, family_hyper_fixed=config.noise_sd,
         )
         fit = aghq_fit(model, num_quad=config.num_quad, num_samples=config.num_samples, seed=seed)
         for q in derivs:
@@ -364,7 +362,7 @@ def run_benchmark_study(config: BenchConfig) -> BenchResult:
 
     def exact_pipeline(xs, ys, seed):
         return exact_hierarchical_fit(
-            p, xs, ys, config.noise_sd, np.full(p, np.sqrt(1000.0)), prior,
+            p, xs, ys, config.noise_sd, np.full(p, DEFAULT_POLY_PRIOR_SD), prior,
             derivs=derivs, num_quad=config.num_quad,
             num_samples=config.num_samples, seed=seed,
         )

@@ -2,7 +2,8 @@
 
 These deliberately avoid the closed-form code paths they certify: basis
 functions are rebuilt by numerically integrating the raw test-function
-indicator, joint densities are re-summed scalar by scalar, and marginal
+indicator or summed column by column in their right-continuation form,
+joint densities are re-summed scalar by scalar, and marginal
 likelihoods are integrated with dense quadrature over the full latent space.
 The dense exact-process posterior is conditioned point by point and order by
 order, as the comparator once did, so its consolidated path has a reference.
@@ -22,7 +23,7 @@ from scipy import integrate, linalg, optimize
 from scipy.special import gammaln, logsumexp
 
 from osplines.aghq import AdaptedGrid
-from osplines.basis import KnotSet, test_function_eval
+from osplines.basis import _FACT, KnotSet, OSplineBasis, test_function_eval
 from osplines.exact import IWPKernel, _poly_cov_matrix
 from osplines.inference import LatentModel, PosteriorCurve, _curve_design, newton_mode
 
@@ -46,6 +47,29 @@ def repeated_integral_of_test_function(knot_set: KnotSet, i: int, x: float, p: i
     )
     assert err < 1e-9
     return val
+
+
+def basis_columns_sum_form(basis: OSplineBasis, xs, q: int) -> np.ndarray:
+    """(n, k) q-th basis derivatives, column by column: (x - s_{i-1})^m / m!
+    inside the cell and the right-continuation sum
+    sum_{j=1..m} d_i^j (x - s_i)^{m-j} / (j! (m-j)!) beyond it, m = p - q."""
+    p_eff = basis.order - q
+    x = np.asarray(xs, dtype=float)
+    ks = basis.knot_set
+    cols = np.zeros((x.size, ks.size))
+    for j, (lo, hi, d) in enumerate(zip(ks.lower_knots, ks.knots, ks.spacings)):
+        mid = (x > lo) & (x <= hi)
+        if p_eff == 0:
+            cols[mid, j] = 1.0
+            continue
+        cols[mid, j] = (x[mid] - lo) ** p_eff / _FACT[p_eff]
+        right = x > hi
+        z = x[right] - hi
+        acc = np.zeros_like(z)
+        for m in range(1, p_eff + 1):
+            acc += d**m * z ** (p_eff - m) / (_FACT[m] * _FACT[p_eff - m])
+        cols[right, j] = acc
+    return cols
 
 
 def log_joint_scalar(model: LatentModel, latent, theta=()) -> float:
@@ -171,6 +195,20 @@ def laplace_terms_in_original_coordinates(model: LatentModel, mode, theta=()):
     sign, logdet = np.linalg.slogdet(H)
     assert sign > 0
     return H, logdet, log_joint(model, mode, theta)
+
+
+def newton_predicted_gain(model: LatentModel, mode, theta=()) -> float:
+    """Newton's predicted gain g' H^-1 g / 2 at ``mode``, with the gradient
+    g = X'(dlog-lik/deta) - q w formed from the design's rows and H from
+    :func:`laplace_terms_in_original_coordinates`."""
+    mode = np.asarray(mode, dtype=float)
+    sigma, hyper = model.split_theta(theta)
+    X, y = model.design, model.response
+    eta = X @ mode
+    dlik = (y - eta) / hyper**2 if model.family == "gaussian" else y - np.exp(eta)
+    grad = X.T @ dlik - model.prior_precision_diag(sigma, hyper) * mode
+    H, _, _ = laplace_terms_in_original_coordinates(model, mode, theta)
+    return 0.5 * float(grad @ np.linalg.solve(H, grad))
 
 
 def gaussian_mode_dense(model: LatentModel, theta=()):

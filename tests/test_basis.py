@@ -14,7 +14,8 @@ from osplines import (
     weight_precision,
 )
 from osplines import test_function_eval as cell_indicator
-from oracles import repeated_integral_of_test_function
+from osplines.basis import _basis_columns
+from oracles import basis_columns_sum_form, repeated_integral_of_test_function
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,22 @@ def test_design_matrix_quadrature_oracle_columns():
     for j in range(5):
         want = [repeated_integral_of_test_function(ks, j + 1, float(x), 3) for x in xs]
         npt.assert_allclose(block.values[:, j], want, atol=1e-8, rtol=0)
+
+
+@pytest.mark.parametrize("k", [10, 100, 1000])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_closed_form_columns_match_sum_form(p, k, rng):
+    """The truncated-power difference agrees with the per-knot sum form at
+    the region start, at every knot and between knots."""
+    ks = build_equal_knots(-3.0, 17.0, k)
+    xs = np.concatenate(([ks.region_start], ks.knots, rng.uniform(-3.0, 17.0, 200)))
+    basis = OSplineBasis(p, ks)
+    for q in range(p + 1):
+        got = _basis_columns(basis, xs, q)
+        want = basis_columns_sum_form(basis, xs, q)
+        npt.assert_array_equal(got != 0.0, want != 0.0)
+        nz = want != 0.0
+        assert np.max(np.abs(got[nz] - want[nz]) / np.abs(want[nz])) <= 1e-12
 
 
 def test_design_matrix_rejects_extrapolation():

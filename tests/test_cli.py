@@ -165,8 +165,31 @@ def test_fit_missing_column_exits_3(tmp_path, capsys):
     assert "count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "data file not found"),
+    ("", "missing header row"),
+    ("x,y\n0.1,1\n0.2,\n", "row 3: missing value in column 'y'"),
+    ("x,y\n0.1,1\n0.2\n", "row 3: missing value in column 'y'"),
+    ("x,y\n0.1,1\n0.2,abc\n", "row 3: column 'y' is not numeric ('abc')"),
+    ("x,y\n0.1,1\n0.2,inf\n", "row 3: non-finite value in column 'y'"),
+], ids=["missing-file", "empty-file", "empty-value", "short-row", "not-numeric", "inf"])
+def test_fit_bad_csv_exits_3_naming_file_row_and_column(tmp_path, capsys, text, message):
+    data = tmp_path / "data.csv"
+    if text is not None:
+        data.write_text(text, encoding="utf-8")
+    rc = main([
+        "fit", "--data", str(data), "--x", "x", "--y", "y",
+        "--family", "gaussian", "--order", "2", "--knots", "5",
+        "--psd-h", "1", "--psd-median", "1", "--noise-sd", "1",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(data) in err and message in err
+
+
 def test_fit_numeric_failure_exits_4(tmp_path, capsys):
-    # noise far below double precision's reach for the gradient criterion
+    # noise far below double precision's reach for Newton's stopping rule
     data = tmp_path / "data.csv"
     write_gaussian_csv(data, n=40)
     rc = main([
