@@ -1,10 +1,16 @@
 """Latent Gaussian model fitting for spline-smoothed regression.
 
-The latent vector stacks the spline weights w, the polynomial coefficients
-gamma, optional fixed effects beta and (for overdispersed counts) one
-observation-level effect per data point.  Its prior precision is diagonal:
-d_i / sigma^2 on the weights, 1/tau_l^2 on the polynomial block, and so on.
-The linear predictor is eta = Phi w + P gamma + V beta (+ eps).
+The latent vector stacks the coefficients a = (w, gamma, beta) -- spline
+weights, polynomial coefficients and optional fixed effects -- and, for
+overdispersed counts, one observation-level effect eps_i per data point.
+Its prior precision is diagonal: d_i / sigma^2 on the weights, 1/tau_l^2 on
+the polynomial block, and so on.  The linear predictor is
+eta = Phi w + P gamma + V beta (+ eps).  The design stores only the
+coefficient columns; eps enters eta one entry per row and is never stored as
+an identity block.  Its diagonal prior and identity design make the negative
+Hessian an arrow matrix, so Newton eliminates eps by Schur complement and
+works with a k x k system whatever n is (Rue, Martino & Chopin 2009; Rue &
+Held 2005, ch. 2).
 
 Fitting follows the usual route for such models: Newton mode finding with
 step halving at fixed hyperparameters, a Laplace-approximated hyperparameter
@@ -68,6 +74,11 @@ class LatentModel:
     (the stacked ``design``, which the blocks view, the likelihood constant
     and, for the Gaussian family, the Gram matrix ``gram`` = design' design)
     stays valid.
+
+    ``design`` is [Phi | P | V], n x ``n_coef``.  For the overdispersed
+    Poisson family the latent vector ends in the n observation effects eps,
+    which enter the linear predictor X a + eps implicitly, so ``latent_dim``
+    is ``n_coef + n`` there and ``n_coef`` otherwise.
     """
 
     response: np.ndarray
@@ -94,7 +105,10 @@ class LatentModel:
     n_spline = property(lambda self: self.spline_design.values.shape[1])
     n_poly = property(lambda self: self.poly_design.shape[1])
     n_fixed = property(lambda self: 0 if self.fixed_design is None else self.fixed_design.shape[1])
-    latent_dim = property(lambda self: self.design.shape[1])
+    n_coef = property(lambda self: self.design.shape[1])
+    latent_dim = property(
+        lambda self: self.n_coef + (self.n_obs if self.family == "poisson_od" else 0)
+    )
     theta_names = property(lambda self: tuple(name for _, name, _ in self._free_hypers))
 
     def __post_init__(self):
@@ -136,8 +150,6 @@ class LatentModel:
                 "plain Poisson has no family hyperparameter",
             )
 
-        if self.family == "poisson_od":
-            blocks.append(np.eye(n))
         design = np.hstack(blocks)
         design.setflags(write=False)
         put("design", design)
@@ -219,11 +231,19 @@ def _lik_grad_curv(model: LatentModel, eta: np.ndarray, hyper: Optional[float]):
     return y - rate, rate
 
 
-def _log_prior_lik(model: LatentModel, latent, qdiag, hyper) -> float:
-    """Gaussian prior (precision diagonal ``qdiag``) plus likelihood at ``latent``."""
+def _linear_predictor(model: LatentModel, latent) -> np.ndarray:
+    """eta = X a, plus the observation effects eps for the overdispersed family."""
+    m = model.n_coef
+    eta = model.design @ latent[:m]
+    return eta + latent[m:] if model.family == "poisson_od" else eta
+
+
+def _log_prior_lik(model: LatentModel, latent, eta, qdiag, hyper) -> float:
+    """Gaussian prior (precision diagonal ``qdiag``) plus likelihood at
+    ``latent``, whose linear predictor is ``eta``."""
     lp = 0.5 * float(np.sum(np.log(qdiag))) - 0.5 * float(latent @ (qdiag * latent))
     lp -= 0.5 * model.latent_dim * math.log(2.0 * math.pi)
-    return lp + _log_lik(model, model.design @ latent, hyper)
+    return lp + _log_lik(model, eta, hyper)
 
 
 def log_joint(model: LatentModel, latent, theta=()) -> float:
@@ -233,20 +253,63 @@ def log_joint(model: LatentModel, latent, theta=()) -> float:
              f"latent has {latent.size} entries, expected {model.latent_dim}")
     sigma, hyper = model.split_theta(theta)
     qdiag = model.prior_precision_diag(sigma, hyper)
-    return _log_prior_lik(model, latent, qdiag, hyper) + model.log_hyperprior(theta)
+    lp = _log_prior_lik(model, latent, _linear_predictor(model, latent), qdiag, hyper)
+    return lp + model.log_hyperprior(theta)
+
+
+def _arrow_precision(X: np.ndarray, curv: np.ndarray, qdiag: np.ndarray) -> np.ndarray:
+    """The full negative Hessian over (a, eps) of the overdispersed family:
+    [[X' C X, X' C], [C X, C]] + diag(q) with C = diag(curv); O((n + k)^2)
+    memory."""
+    xc = X.T * curv
+    hess = np.block([[xc @ X, xc], [xc.T, np.diag(curv)]])
+    hess[np.diag_indices_from(hess)] += qdiag
+    return hess
 
 
 @dataclass
 class GaussianApprox:
-    """Gaussian approximation at the conditional mode of the latent field."""
+    """Gaussian approximation at the conditional mode of the latent field.
+
+    ``precision`` is the negative Hessian over the whole latent vector and
+    ``chol`` its lower Cholesky factor; ``log_det`` is its log-determinant.
+    ``coef_chol`` is the lower Cholesky factor of the marginal precision of
+    the coefficients a, the first ``n_coef`` entries of ``mode``: the factor
+    of the Schur complement S for the overdispersed Poisson family, and the
+    same object as ``chol`` otherwise.  For the overdispersed family Newton
+    never forms the full (n_coef + n)^2 matrix: it passes ``precision`` and
+    ``chol`` as None with ``arrow`` = (design, curvature at the mode, prior
+    precision diagonal), and each is formed on its first read, at
+    O((n + k)^3) for the factor.
+    """
 
     mode: np.ndarray
-    precision: np.ndarray
-    chol: np.ndarray
+    precision: Optional[np.ndarray]
+    chol: Optional[np.ndarray]
     log_det: float
     log_joint_at_mode: float
     predicted_gain: float  # g' H^-1 g / 2 at the mode, in nats
     iterations: int
+    coef_chol: Optional[np.ndarray] = None
+    arrow: Optional[tuple] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.coef_chol is None:
+            self.coef_chol = self.chol
+        if self.arrow is not None and self.precision is None:
+            del self.precision, self.chol  # formed by __getattr__ on first read
+
+    def __getattr__(self, name):
+        # reached only for attributes not set: the unread precision and chol
+        arrow = self.__dict__.get("arrow")
+        if arrow is None or name not in ("precision", "chol"):
+            raise AttributeError(name)
+        if name == "precision":
+            value = _arrow_precision(*arrow)
+        else:
+            value = linalg.cholesky(self.precision, lower=True)
+        setattr(self, name, value)
+        return value
 
 
 _NEWTON_TOL = 1e-14  # nats of predicted gain
@@ -258,51 +321,76 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
 
     Newton steps with step halving on the latent vector itself; the Gaussian
     family converges in a single step from any start.  Each iterate forms the
-    gradient g = X'u - q w and the negative Hessian H = X' diag(curv) X +
+    gradient g = X'u - q a and the negative Hessian H = X' diag(curv) X +
     diag(q), factors H once and stops when the step's predicted gain
     g' H^-1 g / 2 (half the squared Newton decrement, which does not depend
     on the coordinates) is at most ``_NEWTON_TOL`` nats, raising
     :class:`IterationError` after ``_NEWTON_MAX_ITER`` iterations.  The
-    Gaussian family's curvature is the constant 1/kappa^2, so its Hessian
-    scales the Gram matrix, O(k^2), rather than forming X' C X, O(n k^2).
-    The gradient and the log joint still go through the residuals y - X w at
-    O(n k): expanding them through X'X and X'y would cancel catastrophically
-    when the response sits far from zero.  The returned precision, Cholesky
-    factor and log-determinant are the last factorization's.
+    linear predictor of the accepted point carries over to the next
+    gradient.  The Gaussian family's curvature is the constant 1/kappa^2, so
+    its Hessian scales the Gram matrix, O(k^2) rather than the O(n k^2) of
+    X' C X, and is factored once per call.  The gradient and the log joint
+    still go through the residuals y - X a at O(n k): expanding them through
+    X'X and X'y would cancel catastrophically when the response sits far
+    from zero.
+
+    For the overdispersed Poisson family the latent vector is (a, eps) and H
+    is the arrow matrix [[A, B], [B', D]] with A = X' C X + Q_a, B = X' C and
+    D = diag(d), d = c + 1/phi^2, c = exp(eta).  Each iterate eliminates eps:
+    it factors the Schur complement S = A - B D^-1 B' = X' diag(c / (1 +
+    phi^2 c)) X + Q_a, solves S s_a = g_a - X'(c g_eps / d) and sets s_eps =
+    (g_eps - c X s_a) / d, so an iterate costs O(n k^2) and log det H =
+    sum log d + log det S.  The returned precision, Cholesky factor and
+    log-determinant are the last factorization's.
     """
     sigma, hyper = model.split_theta(theta)
     qdiag = model.prior_precision_diag(sigma, hyper)
     log_hyper = model.log_hyperprior(theta)
-    X = model.design
+    X, m = model.design, model.n_coef
+    q_coef = qdiag[:m]
+    overdispersed = model.family == "poisson_od"
 
     def score(w):
+        eta = _linear_predictor(model, w)
         try:
-            return _log_prior_lik(model, w, qdiag, hyper) + log_hyper
+            return _log_prior_lik(model, w, eta, qdiag, hyper) + log_hyper, eta
         except NumericError:
-            return -math.inf
+            return -math.inf, eta
 
     _require(init is None or np.size(init) == model.latent_dim, "init has wrong length")
     w = np.zeros(model.latent_dim) if init is None else np.array(init, dtype=float)
-    lj = score(w)
+    lj, eta = score(w)
     if not np.isfinite(lj):  # non-finite or overflowing start
         w = np.zeros(model.latent_dim)
-        lj = score(w)
+        lj, eta = score(w)
 
+    chol = None
     iterations = 0
     while True:
-        u, curv = _lik_grad_curv(model, X @ w, hyper)
-        grad = X.T @ u - qdiag * w
-        if model.gram is None:
-            hess = (X.T * curv) @ X
-        else:  # constant curvature: scale the Gram matrix
-            hess = model.gram * curv
-        hess[np.diag_indices_from(hess)] += qdiag
-        try:
-            chol = linalg.cho_factor(hess, lower=True)
-        except linalg.LinAlgError:
-            raise NumericError("indefinite negative Hessian during Newton iteration")
-        step = linalg.cho_solve(chol, grad)
-        gain = 0.5 * float(grad @ step)
+        u, curv = _lik_grad_curv(model, eta, hyper)
+        grad = X.T @ u - q_coef * w[:m]
+        if chol is None or model.gram is None:
+            if model.gram is not None:  # constant curvature: scale the Gram matrix
+                hess = model.gram * curv
+            elif overdispersed:  # eps eliminated: the Schur complement S
+                hess = (X.T * (curv / (1.0 + hyper**2 * curv))) @ X
+            else:
+                hess = (X.T * curv) @ X
+            hess[np.diag_indices_from(hess)] += q_coef
+            try:
+                chol = linalg.cho_factor(hess, lower=True)
+            except linalg.LinAlgError:
+                raise NumericError("indefinite negative Hessian during Newton iteration")
+        if overdispersed:  # the arrow system, solved through S
+            grad_obs = u - qdiag[m:] * w[m:]
+            d = curv + qdiag[m:]
+            step_coef = linalg.cho_solve(chol, grad - X.T @ (curv * grad_obs / d))
+            step_obs = (grad_obs - curv * (X @ step_coef)) / d
+            gain = 0.5 * (float(grad @ step_coef) + float(grad_obs @ step_obs))
+            step = np.concatenate([step_coef, step_obs])
+        else:
+            step = linalg.cho_solve(chol, grad)
+            gain = 0.5 * float(grad @ step)
         if gain <= _NEWTON_TOL:
             break
         if iterations == _NEWTON_MAX_ITER:
@@ -317,21 +405,28 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
         scale = 1.0
         for _ in range(50):
             w_new = w + scale * step
-            lj_new = score(w_new)
+            lj_new, eta_new = score(w_new)
             if lj_new > lj - slack or (whole and np.isfinite(lj_new)):
                 break
             scale *= 0.5
         else:
             raise IterationError(f"line search failed at predicted gain {gain:.3e}")
-        w, lj = w_new, lj_new
+        w, lj, eta = w_new, lj_new, eta_new
         iterations += 1
 
     lower = np.tril(chol[0])
+    log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
+    if overdispersed:
+        return GaussianApprox(
+            mode=w, precision=None, chol=None, log_det=float(np.sum(np.log(d))) + log_det,
+            log_joint_at_mode=lj, predicted_gain=gain, iterations=iterations,
+            coef_chol=lower, arrow=(X, curv, qdiag),
+        )
     return GaussianApprox(
         mode=w,
         precision=hess,
         chol=lower,
-        log_det=2.0 * float(np.sum(np.log(np.diag(lower)))),
+        log_det=log_det,
         log_joint_at_mode=lj,
         predicted_gain=gain,
         iterations=iterations,
@@ -361,7 +456,8 @@ def laplace_log_marginal(model: LatentModel, theta=(), approx=None) -> float:
 
 @dataclass
 class PosteriorFit:
-    """Quadrature grid, per-point Gaussian approximations and latent draws."""
+    """Quadrature grid, per-point Gaussian approximations and coefficient
+    draws (``samples`` is num_samples x ``model.n_coef``)."""
 
     model: LatentModel
     theta_points: np.ndarray
@@ -397,8 +493,10 @@ def aghq_fit(
     With ``num_quad = 1`` this reduces to empirical Bayes at the Laplace-MAP
     hyperparameters; an even ``num_quad`` simply yields a grid without the
     mode point.  When all hyperparameters are fixed the grid degenerates to
-    that single configuration.  ``num_samples`` latent draws are allocated
-    to grid points proportionally to their weights.
+    that single configuration.  ``num_samples`` draws of the coefficients
+    a (the first ``model.n_coef`` latent entries; the observation effects of
+    the overdispersed family are not drawn) are allocated to grid points
+    proportionally to their weights.
     """
     _require(num_quad >= 1, "num_quad must be >= 1")
     _require(num_samples >= 0, "num_samples must be >= 0")
@@ -425,18 +523,19 @@ def aghq_fit(
         approxes = grid.states
         log_marg = grid.log_normconst
 
+    m = model.n_coef
     counts = np.random.default_rng([seed, 1]).multinomial(num_samples, weights)
-    samples = np.empty((num_samples, model.latent_dim))
+    samples = np.empty((num_samples, m))
     point_index = np.repeat(np.arange(len(weights)), counts)
     row = 0
     for j, cnt in enumerate(counts):
         if cnt == 0:
             continue
         child = np.random.default_rng([seed, 2, j])
-        z = child.standard_normal((model.latent_dim, cnt))
-        # precision = L L^T  =>  draws = mode + L^{-T} z
-        dev = linalg.solve_triangular(approxes[j].chol, z, lower=True, trans="T")
-        samples[row : row + cnt] = approxes[j].mode + dev.T
+        z = child.standard_normal((m, cnt))
+        # coefficient precision = L L^T  =>  draws = mode + L^{-T} z
+        dev = linalg.solve_triangular(approxes[j].coef_chol, z, lower=True, trans="T")
+        samples[row : row + cnt] = approxes[j].mode[:m] + dev.T
         row += cnt
 
     return PosteriorFit(
@@ -563,14 +662,14 @@ def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np
     _require_order(fit, q)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     design = _curve_design(fit, xs, q)
-    ncoef = design.shape[1]
-    full = np.zeros((xs.size, fit.model.latent_dim))
-    full[:, :ncoef] = design
+    m = fit.model.n_coef
+    full = np.zeros((xs.size, m))
+    full[:, : design.shape[1]] = design
     mean = np.zeros(xs.size)
     second = np.zeros(xs.size)
     for wgt, approx in zip(fit.weights, fit.approxes):
-        mu = full @ approx.mode
-        half = linalg.solve_triangular(approx.chol, full.T, lower=True)
+        mu = full @ approx.mode[:m]
+        half = linalg.solve_triangular(approx.coef_chol, full.T, lower=True)
         var = np.sum(half**2, axis=0)
         mean += wgt * mu
         second += wgt * (var + mu**2)
@@ -582,7 +681,10 @@ def condition_number(approx: GaussianApprox) -> float:
     """Ratio of extreme singular values of the precision.
 
     The precision is symmetric positive definite, so its singular values are
-    its eigenvalues; a symmetric eigensolve is used.
+    its eigenvalues; a symmetric eigensolve is used.  For the overdispersed
+    Poisson family this reads the full (n_coef + n)^2 precision over
+    (a, eps), which is formed on that read, and the eigensolve costs
+    O((n + k)^3).
     """
     eigs = np.linalg.eigvalsh(approx.precision)
     if eigs[0] <= 0:

@@ -8,7 +8,11 @@ likelihoods are integrated with dense quadrature over the full latent space.
 The dense exact-process posterior is conditioned point by point and order by
 order, as the comparator once did, so its consolidated path has a reference.
 The Gaussian mode is solved from a likelihood Hessian assembled from the
-design itself rather than from the model's Gram matrix, and curves are
+design itself rather than from the model's Gram matrix.  The overdispersed
+family's observation effects, which the library eliminates by Schur
+complement, are written out here as an explicit identity block of the
+design, and its Newton mode is found by the dense loop over that design
+that the library once ran.  Curves are
 summarized sample-major with ``np.quantile``, as the fitter once did.  The
 quadrature's mode is found by Nelder-Mead and its curvature by a separate
 finite-difference Hessian, as ``adapt_quadrature`` once did.
@@ -22,10 +26,18 @@ import numpy as np
 from scipy import integrate, linalg, optimize
 from scipy.special import gammaln, logsumexp
 
+from osplines import inference
 from osplines.aghq import AdaptedGrid
 from osplines.basis import _FACT, KnotSet, OSplineBasis, test_function_eval
+from osplines.errors import NumericError
 from osplines.exact import IWPKernel, _poly_cov_matrix
-from osplines.inference import LatentModel, PosteriorCurve, _curve_design, newton_mode
+from osplines.inference import (
+    GaussianApprox,
+    LatentModel,
+    PosteriorCurve,
+    _curve_design,
+    newton_mode,
+)
 
 
 def repeated_integral_of_test_function(knot_set: KnotSet, i: int, x: float, p: int) -> float:
@@ -72,12 +84,80 @@ def basis_columns_sum_form(basis: OSplineBasis, xs, q: int) -> np.ndarray:
     return cols
 
 
+def full_design(model: LatentModel) -> np.ndarray:
+    """The design over the whole latent vector: [X | I] for the overdispersed
+    family, whose observation effects enter the linear predictor one per
+    row, and X otherwise."""
+    if model.family == "poisson_od":
+        return np.hstack([model.design, np.eye(model.n_obs)])
+    return model.design
+
+
+def newton_mode_dense(model: LatentModel, theta=(), init=None) -> GaussianApprox:
+    """Newton's mode by the dense loop over :func:`full_design`.
+
+    Every iterate forms g = X_f' u - q w and H = X_f' diag(curv) X_f + diag(q)
+    over the full latent vector, (n_coef + n)^2 for the overdispersed family,
+    factors H and solves for the step; the stopping rule, line search, slack
+    and whole-step rule are the library's.
+    """
+    sigma, hyper = model.split_theta(theta)
+    qdiag = model.prior_precision_diag(sigma, hyper)
+    log_hyper = model.log_hyperprior(theta)
+    X = full_design(model)
+
+    def score(w):
+        lp = 0.5 * float(np.sum(np.log(qdiag))) - 0.5 * float(w @ (qdiag * w))
+        lp -= 0.5 * w.size * math.log(2.0 * math.pi)
+        try:
+            return lp + inference._log_lik(model, X @ w, hyper) + log_hyper
+        except NumericError:
+            return -math.inf
+
+    w = np.zeros(X.shape[1]) if init is None else np.array(init, dtype=float)
+    lj = score(w)
+    if not np.isfinite(lj):
+        w = np.zeros(X.shape[1])
+        lj = score(w)
+    iterations = 0
+    while True:
+        u, curv = inference._lik_grad_curv(model, X @ w, hyper)
+        grad = X.T @ u - qdiag * w
+        hess = (X.T * curv) @ X + np.diag(qdiag)
+        chol = linalg.cho_factor(hess, lower=True)
+        step = linalg.cho_solve(chol, grad)
+        gain = 0.5 * float(grad @ step)
+        if gain <= inference._NEWTON_TOL:
+            break
+        assert iterations < inference._NEWTON_MAX_ITER, gain
+        slack = 1e-12 * (1.0 + abs(lj))
+        whole = gain <= slack
+        scale = 1.0
+        for _ in range(50):
+            w_new = w + scale * step
+            lj_new = score(w_new)
+            if lj_new > lj - slack or (whole and np.isfinite(lj_new)):
+                break
+            scale *= 0.5
+        else:
+            raise AssertionError(f"line search failed at predicted gain {gain:.3e}")
+        w, lj = w_new, lj_new
+        iterations += 1
+    lower = np.tril(chol[0])
+    return GaussianApprox(
+        mode=w, precision=hess, chol=lower,
+        log_det=2.0 * float(np.sum(np.log(np.diag(lower)))),
+        log_joint_at_mode=lj, predicted_gain=gain, iterations=iterations,
+    )
+
+
 def log_joint_scalar(model: LatentModel, latent, theta=()) -> float:
     """Slow scalar-by-scalar re-implementation of the log joint density."""
     latent = np.asarray(latent, dtype=float)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     sigma, hyper = model.split_theta(theta)
     qdiag = model.prior_precision_diag(sigma, hyper)
+    X = full_design(model)
 
     total = 0.0
     for wi, qi in zip(latent, qdiag):
@@ -86,7 +166,7 @@ def log_joint_scalar(model: LatentModel, latent, theta=()) -> float:
     for row in range(model.n_obs):
         eta_i = 0.0
         for j in range(model.latent_dim):
-            eta_i += model.design[row, j] * latent[j]
+            eta_i += X[row, j] * latent[j]
         y_i = model.response[row]
         if model.family == "gaussian":
             kappa = hyper
@@ -154,7 +234,7 @@ def brute_log_marginal(model: LatentModel, theta, nodes: int = 40) -> float:
         - 0.5 * np.sum(W**2 * qd, axis=1)
         - 0.5 * dim * np.log(2.0 * np.pi)
     )
-    eta = W @ model.design.T
+    eta = W @ full_design(model).T
     y = model.response
     if model.family == "gaussian":
         kappa = hyper
@@ -182,11 +262,12 @@ def brute_log_marginal(model: LatentModel, theta, nodes: int = 40) -> float:
 
 def laplace_terms_in_original_coordinates(model: LatentModel, mode, theta=()):
     """Negative Hessian H = diag(q) + X' diag(curv) X at ``mode``, assembled in
-    original coordinates, with its ``slogdet`` and the log joint there."""
+    original coordinates over :func:`full_design`, with its ``slogdet`` and
+    the log joint there."""
     from osplines.inference import log_joint
 
     sigma, hyper = model.split_theta(theta)
-    X = model.design
+    X = full_design(model)
     if model.family == "gaussian":
         curv = np.full(model.n_obs, 1.0 / hyper**2)
     else:
@@ -199,11 +280,11 @@ def laplace_terms_in_original_coordinates(model: LatentModel, mode, theta=()):
 
 def newton_predicted_gain(model: LatentModel, mode, theta=()) -> float:
     """Newton's predicted gain g' H^-1 g / 2 at ``mode``, with the gradient
-    g = X'(dlog-lik/deta) - q w formed from the design's rows and H from
-    :func:`laplace_terms_in_original_coordinates`."""
+    g = X'(dlog-lik/deta) - q w formed from the rows of :func:`full_design`
+    and H from :func:`laplace_terms_in_original_coordinates`."""
     mode = np.asarray(mode, dtype=float)
     sigma, hyper = model.split_theta(theta)
-    X, y = model.design, model.response
+    X, y = full_design(model), model.response
     eta = X @ mode
     dlik = (y - eta) / hyper**2 if model.family == "gaussian" else y - np.exp(eta)
     grad = X.T @ dlik - model.prior_precision_diag(sigma, hyper) * mode

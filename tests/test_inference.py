@@ -4,6 +4,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import linalg
 from scipy.special import logsumexp
 
 from osplines import (
@@ -37,6 +38,7 @@ from oracles import (
     gaussian_mode_dense,
     laplace_terms_in_original_coordinates,
     log_joint_scalar,
+    newton_mode_dense,
     newton_predicted_gain,
     posterior_function_reference,
 )
@@ -245,22 +247,30 @@ def test_newton_gradient_condition_at_mode():
     assert newton_predicted_gain(model, ga.mode) <= 1e-13
 
 
-def test_newton_takes_steps_below_log_joint_resolution_whole():
-    """Overdispersed counts whose log joint at the mode cancels to ~0.3 from
-    terms of order 1e4: near the mode the Newton step's predicted gain
-    (~1e-17) lies below the evaluation noise, so step halving alone shrank
-    it to nothing and the iteration stalled at |grad| ~ 2e-6."""
+SEED_1106_THETA = np.log([0.004211995274365753, 0.056008654972055004])
+
+
+def seed_1106_od_model():
+    """Overdispersed counts at n = 300, k = 50, order 3 (latent dimension
+    353): dataset 3 of the CLI benchmark's seed 1106."""
     n = 300
     x = np.arange(n, dtype=float)
     g = 2.5 + np.sin(2.0 * np.pi * x / 120.0) + 0.5 * np.cos(2.0 * np.pi * x / 45.0)
     rng = np.random.default_rng([1106, 12, 3])
     y = rng.poisson(np.exp(g + rng.normal(0.0, 0.1, n))).astype(float)
-    model = build_model(
+    return build_model(
         x, y, OSplineBasis(3, build_equal_knots(0.0, 299.0, 50)), "poisson_od",
         sigma_prior=prior_from_psd(PSDSpec(h=30.0, order=3), 1.0, 0.01),
         family_hyper_prior=ExponentialPrior(rate=math.log(2.0) / 0.1),
     )
-    theta = np.log([0.004211995274365753, 0.056008654972055004])
+
+
+def test_newton_takes_steps_below_log_joint_resolution_whole():
+    """Overdispersed counts whose log joint at the mode cancels to ~0.3 from
+    terms of order 1e4: near the mode the Newton step's predicted gain
+    (~1e-17) lies below the evaluation noise, so step halving alone shrank
+    it to nothing and the iteration stalled at |grad| ~ 2e-6."""
+    model, theta = seed_1106_od_model(), SEED_1106_THETA
     ga = newton_mode(model, theta)
     assert abs(ga.log_joint_at_mode) < 1.0
     assert newton_predicted_gain(model, ga.mode, theta) <= 1e-13
@@ -288,11 +298,16 @@ def test_newton_assembles_and_factors_once_per_iterate(monkeypatch):
                         counted("curvature", inference._lik_grad_curv))
     monkeypatch.setattr(inference.linalg, "cho_factor",
                         counted("cho_factor", inference.linalg.cho_factor))
-    for model, _ in (tiny_gaussian_model(n=9, k=4), tiny_poisson_model()):
+    od = small_od_model()
+    cases = [(tiny_gaussian_model(n=9, k=4)[0], ()), (tiny_poisson_model()[0], ()),
+             (od, od.theta_start())]
+    for model, theta in cases:
         calls.update(curvature=0, cho_factor=0)
-        ga = newton_mode(model)
+        ga = newton_mode(model, theta)
         assert ga.iterations >= 1
-        assert calls == {"curvature": ga.iterations + 1, "cho_factor": ga.iterations + 1}
+        # the Gaussian Hessian is constant, so its one factor serves every iterate
+        factors = 1 if model.family == "gaussian" else ga.iterations + 1
+        assert calls == {"curvature": ga.iterations + 1, "cho_factor": factors}
 
 
 def test_newton_outputs_match_original_coordinate_assembly(rng):
@@ -321,6 +336,92 @@ def assert_matches_original_coordinate_assembly(model, theta):
     floor = np.finfo(float).eps * np.sum(np.abs(np.linalg.inv(H) * H))
     assert abs(ga.log_det - logdet) <= 1e-10 * abs(logdet) + floor
     assert ga.log_joint_at_mode == pytest.approx(lj, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the overdispersed family's eliminated observation effects
+# ---------------------------------------------------------------------------
+
+
+def od_case(name, rng):
+    if name == "seed_1106":
+        return seed_1106_od_model(), SEED_1106_THETA
+    model = large_covariate_od_model(rng) if name == "large_covariate" else small_od_model()
+    return model, model.theta_start()
+
+
+def one_point_fit(model, theta, approx):
+    """A fit whose whole hyperparameter mass sits at ``theta``."""
+    return inference.PosteriorFit(
+        model=model, theta_points=np.atleast_2d(theta), weights=np.ones(1), approxes=[approx],
+        log_marginal=0.0, samples=np.empty((0, model.n_coef)),
+        sample_point_index=np.empty(0, dtype=int), seed=0,
+    )
+
+
+@pytest.mark.parametrize("name", ["seed_1106", "large_covariate", "small"])
+def test_schur_newton_matches_dense_oracle(rng, name):
+    """Eliminating eps by Schur complement inside Newton reproduces the dense
+    loop over [X | I]: the same iterations, the mode to 1e-10, the Laplace
+    log marginal to 1e-8 and the moments of g and g' to 1e-8 posterior SDs.
+
+    The SDs get that margin on top of what rounding H to doubles leaves,
+    eps/2 * max over x of (s'|H^-1 d|)^2 / var with s = sqrt(diag H): with
+    condition numbers of 2e13-4e13, both paths stand 1e-8-1.4e-7 from SDs
+    taken in 80-bit arithmetic on the seed-1106 and large-covariate models."""
+    model, theta = od_case(name, rng)
+    assert model.design.shape == (model.n_obs, model.n_coef)
+    assert model.latent_dim == model.n_coef + model.n_obs
+    ga = newton_mode(model, theta)
+    ref = newton_mode_dense(model, theta)
+    assert ga.iterations == ref.iterations
+    assert np.linalg.norm(ga.mode - ref.mode) <= 1e-10 * np.linalg.norm(ref.mode)
+    assert laplace_log_marginal(model, theta, ga) == pytest.approx(
+        laplace_log_marginal(model, theta, ref), rel=1e-8
+    )
+    fit = one_point_fit(model, theta, ga)
+    knots = model.basis.knot_set
+    xs = np.linspace(knots.region_start, knots.region_end, 41)
+    for q in (0, 1):
+        mean, sd = posterior_moments(fit, xs, q)
+        design = inference._curve_design(fit, xs, q)
+        full = np.zeros((xs.size, model.latent_dim))
+        full[:, : design.shape[1]] = design
+        ref_mean = full @ ref.mode
+        ref_sd = np.sqrt(np.sum(linalg.solve_triangular(ref.chol, full.T, lower=True) ** 2, axis=0))
+        spread = np.sqrt(np.diag(ref.precision)) @ np.abs(np.linalg.solve(ref.precision, full.T))
+        floor = 0.5 * np.finfo(float).eps * np.max(spread**2 / ref_sd**2)
+        assert np.max(np.abs(mean - ref_mean) / ref_sd) <= 1e-8
+        assert np.max(np.abs(sd - ref_sd) / ref_sd) <= 1e-8 + floor
+
+
+def test_overdispersed_fit_path_forms_no_full_precision(monkeypatch):
+    """Fitting, sampling and summarizing stay at O(n k^2): no (n + k)^2
+    precision or factor is formed until one is read, and the draws hold the
+    coefficients only.  A factor read afterwards is the dense one."""
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "_arrow_precision",
+                        counted("precision", inference._arrow_precision))
+    monkeypatch.setattr(inference.linalg, "cholesky", counted("chol", inference.linalg.cholesky))
+    model = seed_1106_od_model()
+    fit = aghq_fit(model, num_quad=3, num_samples=200, seed=1)
+    xs = np.linspace(0.0, 299.0, 31)
+    posterior_function(fit, xs, 0)
+    posterior_function(fit, xs, 1, transform="exp")
+    posterior_moments(fit, xs, 1)
+    assert calls == []
+    assert fit.samples.shape == (200, model.n_coef)
+
+    approx, theta = fit.approxes[0], fit.theta_points[0]
+    H, _, _ = laplace_terms_in_original_coordinates(model, approx.mode, theta)
+    scale = np.sqrt(np.outer(np.diag(H), np.diag(H)))
+    assert np.max(np.abs(approx.chol @ approx.chol.T - H) / scale) <= 1e-10
+    assert calls == ["precision", "chol"]
+    assert approx.coef_chol.shape == (model.n_coef, model.n_coef)
 
 
 # ---------------------------------------------------------------------------
