@@ -36,6 +36,7 @@ from .exact import (
 )
 from .inference import (
     GaussianApprox,
+    GaussianPencil,
     LatentModel,
     PosteriorCurve,
     PosteriorFit,

@@ -18,6 +18,10 @@ marginal (exact for the Gaussian family), adaptive Gauss-Hermite quadrature
 over the log-transformed hyperparameters, and posterior sampling from the
 resulting Gaussian mixture.  Hyperparameters live on the log scale
 internally with the exact Jacobian applied to their exponential priors.
+For the Gaussian family with the noise SD fixed, the negative Hessian is a
+pencil in 1/sigma^2, and :class:`GaussianPencil` diagonalizes it once per
+fit: each sigma then costs O(k) instead of a Newton solve, and draws and
+moments go through the shared eigenbasis (Wood 2011).
 
 Fits record their seed; per-quadrature-point sampling streams are derived
 deterministically from the point index, so results do not depend on how the
@@ -238,12 +242,10 @@ def _linear_predictor(model: LatentModel, latent) -> np.ndarray:
     return eta + latent[m:] if model.family == "poisson_od" else eta
 
 
-def _log_prior_lik(model: LatentModel, latent, eta, qdiag, hyper) -> float:
-    """Gaussian prior (precision diagonal ``qdiag``) plus likelihood at
-    ``latent``, whose linear predictor is ``eta``."""
-    lp = 0.5 * float(np.sum(np.log(qdiag))) - 0.5 * float(latent @ (qdiag * latent))
-    lp -= 0.5 * model.latent_dim * math.log(2.0 * math.pi)
-    return lp + _log_lik(model, eta, hyper)
+def _log_prior(latent, qdiag) -> float:
+    """Log density at ``latent`` of the Gaussian prior with precision diagonal ``qdiag``."""
+    return (0.5 * float(np.sum(np.log(qdiag))) - 0.5 * float(latent @ (qdiag * latent))
+            - 0.5 * latent.size * math.log(2.0 * math.pi))
 
 
 def log_joint(model: LatentModel, latent, theta=()) -> float:
@@ -253,7 +255,7 @@ def log_joint(model: LatentModel, latent, theta=()) -> float:
              f"latent has {latent.size} entries, expected {model.latent_dim}")
     sigma, hyper = model.split_theta(theta)
     qdiag = model.prior_precision_diag(sigma, hyper)
-    lp = _log_prior_lik(model, latent, _linear_predictor(model, latent), qdiag, hyper)
+    lp = _log_prior(latent, qdiag) + _log_lik(model, _linear_predictor(model, latent), hyper)
     return lp + model.log_hyperprior(theta)
 
 
@@ -267,6 +269,24 @@ def _arrow_precision(X: np.ndarray, curv: np.ndarray, qdiag: np.ndarray) -> np.n
     return hess
 
 
+@dataclass(frozen=True)
+class _Arrow:
+    """The overdispersed family's negative Hessian at a mode, kept as its
+    design, curvature and prior precision diagonal."""
+
+    design: np.ndarray
+    curv: np.ndarray
+    qdiag: np.ndarray
+
+    def form(self, name: str) -> np.ndarray:
+        # Newton passes the mode, so only the precision is ever asked for
+        return _arrow_precision(self.design, self.curv, self.qdiag)
+
+
+# what a GaussianApprox with a ``source`` may leave unformed until read
+_FORMED_ON_READ = ("mode", "precision", "chol", "coef_chol")
+
+
 @dataclass
 class GaussianApprox:
     """Gaussian approximation at the conditional mode of the latent field.
@@ -276,38 +296,53 @@ class GaussianApprox:
     ``coef_chol`` is the lower Cholesky factor of the marginal precision of
     the coefficients a, the first ``n_coef`` entries of ``mode``: the factor
     of the Schur complement S for the overdispersed Poisson family, and the
-    same object as ``chol`` otherwise.  For the overdispersed family Newton
-    never forms the full (n_coef + n)^2 matrix: it passes ``precision`` and
-    ``chol`` as None with ``arrow`` = (design, curvature at the mode, prior
-    precision diagonal), and each is formed on its first read, at
-    O((n + k)^3) for the factor.
+    same matrix as ``chol`` otherwise.
+
+    An approximation built with a ``source`` may leave ``mode``,
+    ``precision``, ``chol`` and ``coef_chol`` as None; each is then formed
+    on its first read (``chol`` as the Cholesky factor of ``precision``,
+    ``coef_chol`` as ``chol``, the others by ``source.form(name)``) and
+    kept.  Two sources exist.  For the overdispersed family Newton never
+    forms the full (n_coef + n)^2 matrix: its source is an :class:`_Arrow`,
+    and the precision and its factor cost O((n + k)^2) memory and
+    O((n + k)^3) time when read.  For the Gaussian family with the noise SD
+    fixed, :class:`GaussianPencil` evaluates a hyperparameter at O(k): its
+    source holds the point's diagonal in the pencil's eigenbasis, from which
+    the mode costs O(k^2) and the precision O(k^2) when read.
     """
 
-    mode: np.ndarray
+    mode: Optional[np.ndarray]
     precision: Optional[np.ndarray]
     chol: Optional[np.ndarray]
     log_det: float
     log_joint_at_mode: float
     predicted_gain: float  # g' H^-1 g / 2 at the mode, in nats
     iterations: int
-    coef_chol: Optional[np.ndarray] = None
-    arrow: Optional[tuple] = field(default=None, repr=False)
+    # a default factory leaves no class attribute behind, so an unformed
+    # coef_chol reaches __getattr__ like the other fields
+    coef_chol: Optional[np.ndarray] = field(default_factory=lambda: None)
+    source: Optional[object] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.coef_chol is None:
-            self.coef_chol = self.chol
-        if self.arrow is not None and self.precision is None:
-            del self.precision, self.chol  # formed by __getattr__ on first read
+        if self.source is None:
+            if self.coef_chol is None:
+                self.coef_chol = self.chol
+            return
+        for name in _FORMED_ON_READ:
+            if self.__dict__[name] is None:
+                del self.__dict__[name]  # formed by __getattr__ on first read
 
     def __getattr__(self, name):
-        # reached only for attributes not set: the unread precision and chol
-        arrow = self.__dict__.get("arrow")
-        if arrow is None or name not in ("precision", "chol"):
+        # reached only for attributes not set: the fields left unformed
+        source = self.__dict__.get("source")
+        if source is None or name not in _FORMED_ON_READ:
             raise AttributeError(name)
-        if name == "precision":
-            value = _arrow_precision(*arrow)
-        else:
+        if name == "chol":
             value = linalg.cholesky(self.precision, lower=True)
+        elif name == "coef_chol":
+            value = self.chol
+        else:
+            value = source.form(name)
         setattr(self, name, value)
         return value
 
@@ -353,7 +388,7 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
     def score(w):
         eta = _linear_predictor(model, w)
         try:
-            return _log_prior_lik(model, w, eta, qdiag, hyper) + log_hyper, eta
+            return _log_prior(w, qdiag) + _log_lik(model, eta, hyper) + log_hyper, eta
         except NumericError:
             return -math.inf, eta
 
@@ -420,7 +455,7 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
         return GaussianApprox(
             mode=w, precision=None, chol=None, log_det=float(np.sum(np.log(d))) + log_det,
             log_joint_at_mode=lj, predicted_gain=gain, iterations=iterations,
-            coef_chol=lower, arrow=(X, curv, qdiag),
+            coef_chol=lower, source=_Arrow(X, curv, qdiag),
         )
     return GaussianApprox(
         mode=w,
@@ -447,6 +482,139 @@ def laplace_log_marginal(model: LatentModel, theta=(), approx=None) -> float:
         + 0.5 * model.latent_dim * math.log(2.0 * math.pi)
         - 0.5 * approx.log_det
     )
+
+
+def _gaussian_precision(model: LatentModel, sigma: float) -> np.ndarray:
+    """X'X / kappa^2 + diag(q) at ``sigma`` with kappa fixed, formed as
+    :func:`newton_mode` forms it."""
+    kappa = model.family_hyper_fixed
+    hess = model.gram * (1.0 / kappa**2)
+    hess[np.diag_indices_from(hess)] += model.prior_precision_diag(sigma, kappa)
+    return hess
+
+
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of a lower Cholesky factor, whose positive diagonal makes it exist."""
+    inv, _ = linalg.lapack.dtrtri(chol, lower=1)
+    return inv
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianPencil:
+    """The Gaussian family's exact posterior at every sigma, from one
+    eigendecomposition.
+
+    With the noise SD kappa fixed and sigma free, the negative Hessian is the
+    pencil H(s) = A + s B in s = 1/sigma^2: B = diag(d, 0) is the spline
+    weights' prior precision at sigma = 1 and A = X'X / kappa^2 + P, with
+    P = diag(0, 1/tau^2) the polynomial and fixed-effect priors.
+    :meth:`from_model` factors C = A + B = L L' and eigendecomposes
+    L^-1 B L^-T = U diag(lam) U'.  With W = L^-T U, W' H(s) W = diag(D),
+    D = 1 + (s - 1) lam, so log det H(s) = log det C + sum log D (Wood 2011,
+    JRSSB 73(1)).  The log joint is quadratic in the latent vector, so the
+    Laplace step is exact (Rue, Martino & Chopin 2009): expanded about a
+    reference point w0, one Newton mode, the mode is w0 + W (z / D) and the
+    log joint there exceeds its value at w0 by sum(z^2 / D) / 2, where
+    z = e - s f, e = W'(X' r0 / kappa^2 - P w0), f = W' B w0 and
+    r0 = y - X w0.  The residual r0 is formed once, so nothing cancels when
+    the response sits far from zero.
+
+    L comes in two factors.  The Cholesky factor L1 of C as formed from the
+    floating-point X'X carries that matrix's rounding, which is large against
+    H(s) where s is small, so W built from it diagonalizes H(s) only roughly
+    and sum(z^2 / D) inherits the error at first order.  In L1's coordinates
+    C is the identity up to that rounding, and the pencil, with A taken
+    through X itself, is well scaled there: L2 factors L1^-1 C L1^-T so
+    formed, L = L1 L2, and the eigendecomposition is taken in those
+    coordinates.  W then diagonalizes H(s) to rounding at every s.
+
+    Set-up costs one Newton solve and O(n k^2 + k^3) of dense algebra, once
+    per fit; :meth:`log_post` then costs O(k) per theta.  Its approximation
+    forms the mode (O(k^2)), the precision (O(k^2)) and their factors only
+    when read; draws and moments go through ``W`` and the point's D.  The
+    mode is exact rather than iterated to, so the approximation reports
+    zero Newton iterations and a predicted gain of 0.
+    """
+
+    model: LatentModel
+    ref: np.ndarray  # w0
+    W: np.ndarray
+    lam: np.ndarray
+    e: np.ndarray
+    f: np.ndarray
+    log_det_c: float
+    ref_log_lik: float
+
+    @staticmethod
+    def applies(model: LatentModel) -> bool:
+        """Gaussian family, noise SD fixed, sigma on the quadrature grid."""
+        return (model.family == "gaussian" and model.family_hyper_fixed is not None
+                and model.sigma_prior is not None)
+
+    @classmethod
+    def from_model(cls, model: LatentModel) -> "GaussianPencil":
+        """Set up from the Newton mode at ``model.theta_start()``, whose
+        failures (:class:`NumericError`, :class:`IterationError`) propagate."""
+        _require(cls.applies(model),
+                 "the pencil needs a Gaussian model with kappa fixed and sigma free")
+        ref = newton_mode(model, model.theta_start()).mode
+        kappa = model.family_hyper_fixed
+        k = model.n_spline
+        b = model.prior_precision_diag(1.0, kappa)  # (d, 1/tau^2): the diagonal of B + P
+        spline = np.zeros_like(b)  # the diagonal of B
+        spline[:k] = b[:k]
+        try:
+            chol1 = linalg.cholesky(_gaussian_precision(model, 1.0), lower=True)  # C = H(1)
+            V = _lower_inverse(chol1).T  # L1^-T
+            xv = model.design @ V  # V'AV through X, and V'BV
+            va = xv.T @ xv / kappa**2 + V[k:].T @ (b[k:, None] * V[k:])
+            vb = V[:k].T @ (b[:k, None] * V[:k])
+            chol2 = linalg.cholesky(va + vb, lower=True)
+        except linalg.LinAlgError:
+            raise NumericError("Gaussian posterior precision at sigma = 1 is not positive definite")
+        inv2 = _lower_inverse(chol2)
+        lam, U = np.linalg.eigh(inv2 @ vb @ inv2.T)
+        W = V @ (inv2.T @ U)
+        eta = model.design @ ref
+        grad = model.design.T @ (model.response - eta) / kappa**2 - (b - spline) * ref
+        return cls(
+            model=model, ref=ref, W=W, lam=lam, e=W.T @ grad, f=W.T @ (spline * ref),
+            log_det_c=2.0 * float(np.sum(np.log(np.diag(chol1))) + np.sum(np.log(np.diag(chol2)))),
+            ref_log_lik=_log_lik(model, eta, kappa),
+        )
+
+    def log_post(self, theta) -> tuple[float, GaussianApprox]:
+        """Laplace log marginal (exact here) at ``theta`` and its approximation, O(k)."""
+        sigma, kappa = self.model.split_theta(theta)
+        s = sigma**-2
+        scale = 1.0 + (s - 1.0) * self.lam  # D
+        z = self.e - s * self.f
+        lj = (_log_prior(self.ref, self.model.prior_precision_diag(sigma, kappa))
+              + self.ref_log_lik + self.model.log_hyperprior(theta)
+              + 0.5 * float(np.sum(z * z / scale)))
+        approx = GaussianApprox(
+            mode=None, precision=None, chol=None,
+            log_det=self.log_det_c + float(np.sum(np.log(scale))),
+            log_joint_at_mode=lj, predicted_gain=0.0, iterations=0,
+            source=_PencilPoint(self, sigma, scale, z),
+        )
+        return laplace_log_marginal(self.model, theta, approx=approx), approx
+
+
+@dataclass(frozen=True, eq=False)
+class _PencilPoint:
+    """One sigma of a :class:`GaussianPencil`: H(s) = W^-T diag(scale) W^-1."""
+
+    pencil: GaussianPencil
+    sigma: float
+    scale: np.ndarray
+    z: np.ndarray
+
+    def form(self, name: str) -> np.ndarray:
+        pencil = self.pencil
+        if name == "mode":
+            return pencil.ref + pencil.W @ (self.z / self.scale)
+        return _gaussian_precision(pencil.model, self.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +664,26 @@ def aghq_fit(
     that single configuration.  ``num_samples`` draws of the coefficients
     a (the first ``model.n_coef`` latent entries; the observation effects of
     the overdispersed family are not drawn) are allocated to grid points
-    proportionally to their weights.
+    proportionally to their weights.  A Gaussian model with the noise SD
+    fixed and sigma free is evaluated through a :class:`GaussianPencil`
+    (one Newton solve per fit); every other model through one warm-started
+    Newton solve per hyperparameter value.
     """
     _require(num_quad >= 1, "num_quad must be >= 1")
     _require(num_samples >= 0, "num_samples must be >= 0")
     _require(len(model.theta_names) <= 2, "at most two free hyperparameters are supported")
 
-    warm = None
+    if GaussianPencil.applies(model):
+        log_post = GaussianPencil.from_model(model).log_post
+    else:
+        warm = None
 
-    def log_post(theta):
-        # warm-started from the last mode: neighbouring thetas share most of it
-        nonlocal warm
-        approx = newton_mode(model, theta, init=warm)
-        warm = approx.mode
-        return laplace_log_marginal(model, theta, approx=approx), approx
+        def log_post(theta):
+            # warm-started from the last mode: neighbouring thetas share most of it
+            nonlocal warm
+            approx = newton_mode(model, theta, init=warm)
+            warm = approx.mode
+            return laplace_log_marginal(model, theta, approx=approx), approx
 
     if len(model.theta_names) == 0:
         log_marg, approx = log_post(())
@@ -533,8 +707,11 @@ def aghq_fit(
             continue
         child = np.random.default_rng([seed, 2, j])
         z = child.standard_normal((m, cnt))
-        # coefficient precision = L L^T  =>  draws = mode + L^{-T} z
-        dev = linalg.solve_triangular(approxes[j].coef_chol, z, lower=True, trans="T")
+        point = approxes[j].source
+        if isinstance(point, _PencilPoint):  # precision W^-T D W^-1: draws = mode + W D^-1/2 z
+            dev = point.pencil.W @ (z / np.sqrt(point.scale)[:, None])
+        else:  # coefficient precision = L L^T  =>  draws = mode + L^{-T} z
+            dev = linalg.solve_triangular(approxes[j].coef_chol, z, lower=True, trans="T")
         samples[row : row + cnt] = approxes[j].mode[:m] + dev.T
         row += cnt
 
@@ -658,22 +835,32 @@ def posterior_function(
 
 
 def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Exact mean/SD of g^(q) under the fitted Gaussian mixture (no sampling)."""
+    """Exact mean/SD of g^(q) under the fitted Gaussian mixture (no sampling).
+
+    A grid point's variances are the squared rows of design x L^-T, one
+    triangular solve against its ``coef_chol``, O(len(xs) k^2).  When every
+    grid point comes from one :class:`GaussianPencil` they share its
+    eigenbasis W: design x W is formed once per call, and each point's
+    variances are then (design W)^2 / D, at O(len(xs) k) per point.
+    """
     _require_order(fit, q)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     design = _curve_design(fit, xs, q)
     m = fit.model.n_coef
     full = np.zeros((xs.size, m))
     full[:, : design.shape[1]] = design
-    mean = np.zeros(xs.size)
-    second = np.zeros(xs.size)
-    for wgt, approx in zip(fit.weights, fit.approxes):
-        mu = full @ approx.mode[:m]
-        half = linalg.solve_triangular(approx.coef_chol, full.T, lower=True)
-        var = np.sum(half**2, axis=0)
-        mean += wgt * mu
-        second += wgt * (var + mu**2)
-    sd = np.sqrt(np.maximum(second - mean**2, 0.0))
+    mus = full @ np.column_stack([approx.mode[:m] for approx in fit.approxes])
+    points = [approx.source for approx in fit.approxes]
+    if all(isinstance(p, _PencilPoint) and p.pencil is points[0].pencil for p in points):
+        inv_scales = np.column_stack([1.0 / p.scale for p in points])
+        var = (full @ points[0].pencil.W) ** 2 @ inv_scales
+    else:
+        var = np.column_stack([
+            np.sum(linalg.solve_triangular(a.coef_chol, full.T, lower=True) ** 2, axis=0)
+            for a in fit.approxes
+        ])
+    mean = mus @ fit.weights
+    sd = np.sqrt(np.maximum((var + mus**2) @ fit.weights - mean**2, 0.0))
     return mean, sd
 
 
