@@ -11,12 +11,9 @@ from .basis import (
     DesignBlock,
     KnotSet,
     OSplineBasis,
-    basis_eval,
     build_equal_knots,
     design_matrix,
     polynomial_design,
-    test_function_eval,
-    weight_precision,
 )
 from .errors import (
     DataError,
@@ -31,7 +28,6 @@ from .exact import (
     OSplineKernel,
     exact_gp_fit,
     exact_hierarchical_fit,
-    integrate_cov_oracle,
     sup_cov_error,
 )
 from .inference import (

@@ -74,7 +74,9 @@ class KnotSet:
 
     @property
     def spacings(self) -> np.ndarray:
-        """Cell widths d_i = s_i - s_{i-1}, with s_0 = region_start."""
+        """Cell widths d_i = s_i - s_{i-1}, with s_0 = region_start: the
+        diagonal of the weight prior precision at sigma = 1, so the weight
+        variances are 1/d_i."""
         return np.diff(self.knots, prepend=self.region_start)
 
     @property
@@ -98,14 +100,6 @@ def build_equal_knots(region_start: float, region_end: float, k: int) -> KnotSet
     _require(region_end > region_start, "region must have positive length")
     knots = np.linspace(region_start, region_end, int(k) + 1)[1:]
     return KnotSet(region_start, region_end, knots)
-
-
-def test_function_eval(knot_set: KnotSet, i: int, x: float) -> float:
-    """Indicator of the right-closed knot cell (s_{i-1}, s_i]; ``i`` is 1-based."""
-    _require(1 <= i <= knot_set.size, f"basis index {i} outside 1..{knot_set.size}")
-    lo = knot_set.lower_knots[i - 1]
-    hi = knot_set.knots[i - 1]
-    return 1.0 if (x > lo) and (x <= hi) else 0.0
 
 
 @dataclass(frozen=True)
@@ -183,20 +177,6 @@ def _basis_columns(basis: OSplineBasis, xs: np.ndarray, q: int) -> np.ndarray:
     return cols
 
 
-def basis_eval(basis: OSplineBasis, i: int, x: float, q: int = 0) -> float:
-    """q-th derivative of basis function ``i`` (1-based) at ``x``.
-
-    For ``q = p`` this is the underlying test function (right-closed at
-    knot points).  ``x`` must not lie left of the region start.
-    """
-    p = basis.order
-    ks = basis.knot_set
-    _require(1 <= i <= ks.size, f"basis index {i} outside 1..{ks.size}")
-    _require(0 <= q <= p, f"derivative order {q} exceeds basis order {p}")
-    _require(x >= ks.region_start, f"location {x} left of region start {ks.region_start}")
-    return float(_basis_columns(basis, np.array([x], dtype=float), q)[0, i - 1])
-
-
 def design_matrix(basis: OSplineBasis, xs, q: int = 0) -> DesignBlock:
     """Design matrix with entry (i, j) = q-th derivative of basis j at xs[i].
 
@@ -229,12 +209,3 @@ def polynomial_design(xs, p: int, q: int = 0) -> np.ndarray:
     for l in range(q, p):
         out[:, l] = (_FACT[l] / _FACT[l - q]) * x ** (l - q)
     return out
-
-
-def weight_precision(knot_set: KnotSet) -> np.ndarray:
-    """Diagonal of the k x k weight precision: entry i is d_i.
-
-    The weight variances are therefore 1/d_i (so k equal knots on a unit
-    interval give weight variance k).
-    """
-    return knot_set.spacings.copy()

@@ -149,12 +149,20 @@ def cmd_fit(args) -> int:
         raise InvalidArgumentError(
             f"--deriv orders must lie in 0..{args.order - 1} (got {derivs})"
         )
+    if args.grid is not None and args.grid < 1:
+        raise InvalidArgumentError(f"--grid must be at least 1 (got {args.grid})")
 
     numeric = [args.x, args.y]
     required = numeric + (args.fixed.split(",") if args.fixed else [])
     table = DataTable.load(args.data, required=required, numeric=numeric)
     x = table[args.x]
     y = table[args.y]
+    family = args.family.replace("-", "_")
+    if family != "gaussian" and np.any(y < 0):
+        bad = int(np.argmax(y < 0))
+        raise DataError(
+            f"{args.data}: row {bad + 2}: negative count in column '{args.y}' ({y[bad]:g})"
+        )
 
     fixed_design = fixed_names = None
     if args.fixed:
@@ -169,7 +177,6 @@ def cmd_fit(args) -> int:
     basis = OSplineBasis(args.order, build_equal_knots(float(x.min()), float(x.max()), args.knots))
     sigma_prior = _sigma_prior_from_args(args, args.order)
 
-    family = args.family.replace("-", "_")
     family_kwargs = {}
     if family == "gaussian":
         if args.noise_sd is not None:

@@ -12,21 +12,20 @@ termwise monomial integration (exact up to rounding, O(p^2) per value).
 Precision degrades for large p because the expansion alternates in sign;
 a high-precision variant backs the prior-elicitation oracle.
 
-Also here: a brute-force repeated-integration oracle, the covariance of the
-overlapping-spline approximation, sup-norm error scans, and dense GP
-regression used as the inferential comparator.  Everything is a pure
-function of immutable inputs.
+Also here: the covariance of the overlapping-spline approximation, sup-norm
+error scans, and dense GP regression used as the inferential comparator.
+Everything is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
 
 from .aghq import adapt_quadrature
 from .basis import MAX_ORDER, OSplineBasis, _basis_columns, build_equal_knots
@@ -104,73 +103,6 @@ class IWPKernel:
         if self.sigma == 0.0:
             return np.zeros((s.shape[0], t.shape[1]))
         return self.sigma**2 * _wp_cov_terms(self.order, s, t, q1, q2)
-
-
-def integrate_cov_oracle(
-    cov: Callable[[float, float], float],
-    s: float,
-    t: float,
-    steps: tuple[int, int],
-    abs_tol: float = 1e-9,
-) -> float:
-    """Repeated integration of a covariance function, by adaptive quadrature.
-
-    ``steps = (a, b)`` integrates ``a`` times in the first argument (each step
-    from 0) and ``b`` times in the second.  The iterated integrals are
-    collapsed to at most a double integral through the classical repeated-
-    integration identity I^a f(x) = int_0^x (x-u)^{a-1}/(a-1)! f(u) du, so the
-    quadrature stays two-dimensional no matter how many steps are requested.
-
-    This is deliberately independent of the closed-form kernel above and
-    serves as its oracle.
-    """
-    a, b = steps
-    _require(a >= 0 and b >= 0, "integration steps must be non-negative")
-    _require(s >= 0 and t >= 0, "locations must be >= 0")
-    if a == 0 and b == 0:
-        return float(cov(s, t))
-    if s == 0.0 or t == 0.0:
-        return 0.0
-
-    if b == 0:
-        ca = 1.0 / math.factorial(a - 1)
-        val, err = integrate.quad(
-            lambda u: ca * (s - u) ** (a - 1) * cov(u, t), 0.0, s,
-            points=[min(s, t)], epsabs=abs_tol / 10.0, epsrel=1e-12, limit=400,
-        )
-    elif a == 0:
-        cb = 1.0 / math.factorial(b - 1)
-        val, err = integrate.quad(
-            lambda v: cb * (t - v) ** (b - 1) * cov(s, v), 0.0, t,
-            points=[min(s, t)], epsabs=abs_tol / 10.0, epsrel=1e-12, limit=400,
-        )
-    else:
-        # nested 1-D quadratures; the inner integral is split at v = u so
-        # diagonal kinks (min-type covariances) do not poison the tolerance
-        ca = 1.0 / math.factorial(a - 1)
-        cb = 1.0 / math.factorial(b - 1)
-        inner_tol = abs_tol / (10.0 * max(s, 1.0))
-
-        def inner(u):
-            wu = ca * (s - u) ** (a - 1) if a > 1 else ca
-            val_in, _ = integrate.quad(
-                lambda v: (cb * (t - v) ** (b - 1) if b > 1 else cb) * cov(u, v),
-                0.0, t,
-                points=[min(max(u, 0.0), t)],
-                epsabs=inner_tol, epsrel=1e-13, limit=200,
-            )
-            return wu * val_in
-
-        val, err = integrate.quad(
-            inner, 0.0, s, points=[min(s, t)],
-            epsabs=abs_tol / 10.0, epsrel=1e-12, limit=400,
-        )
-    if err > abs_tol:
-        raise NumericError(
-            f"repeated-integration quadrature did not reach tolerance: "
-            f"estimated error {err:.3e} > {abs_tol:.3e} at (s={s}, t={t}, steps={steps})"
-        )
-    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +380,7 @@ def exact_hierarchical_fit(
     draws = np.empty((num_samples, kw_cross.shape[0]))
     cns = np.empty(sigmas.size)
     row = 0
+    jitter_start = 1e-10  # the level at which the last sampled point factorized
     for j, (sigma, (chol, alpha)) in enumerate(zip(sigmas, grid.states)):
         eigs = np.linalg.eigvalsh(obs_cov(sigma**2))
         cns[j] = np.inf if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
@@ -460,10 +393,11 @@ def exact_hierarchical_fit(
         post_cov = poly_joint + sigma**2 * kw_joint - half.T @ half
         # the subtraction cancels prior-scale terms, leaving symmetric noise
         # well above the smallest true eigenvalues; escalate a diagonal
-        # jitter until the factorization goes through
+        # jitter until the factorization goes through, starting where the
+        # previous point's did, since neighbouring sigmas need similar levels
         scale = max(float(np.mean(np.diag(post_cov))), np.finfo(float).tiny)
         lpost = None
-        jitter = 1e-10
+        jitter = jitter_start
         while jitter <= 1e-2:
             try:
                 lpost = np.linalg.cholesky(
@@ -477,6 +411,7 @@ def exact_hierarchical_fit(
                 "joint predictive covariance failed to factorize "
                 f"(n={xs.size}, sigma={sigma:.3g})"
             )
+        jitter_start = jitter
         z = np.random.default_rng([seed, 4, j]).standard_normal((counts[j], post_cov.shape[0]))
         draws[row : row + counts[j]] = mj + z @ lpost.T
         row += counts[j]

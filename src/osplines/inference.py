@@ -34,7 +34,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import linalg
@@ -122,6 +123,10 @@ class LatentModel:
         put("response", _readonly(np.atleast_1d(self.response)))
         n = self.response.size
         _require(self.family in FAMILIES, f"unknown family '{self.family}'")
+        finite, negative = np.isfinite(self.response), self.response < 0
+        _require(finite.all(), f"non-finite response at observation {np.argmin(finite)}")
+        _require(self.family == "gaussian" or not negative.any(),
+                 f"negative count at observation {np.argmax(negative)}")
         blocks = [np.asarray(self.spline_design.values, dtype=float),
                   np.asarray(self.poly_design, dtype=float)]
         if self.fixed_design is not None:
@@ -269,82 +274,53 @@ def _arrow_precision(X: np.ndarray, curv: np.ndarray, qdiag: np.ndarray) -> np.n
     return hess
 
 
-@dataclass(frozen=True)
-class _Arrow:
-    """The overdispersed family's negative Hessian at a mode, kept as its
-    design, curvature and prior precision diagonal."""
-
-    design: np.ndarray
-    curv: np.ndarray
-    qdiag: np.ndarray
-
-    def form(self, name: str) -> np.ndarray:
-        # Newton passes the mode, so only the precision is ever asked for
-        return _arrow_precision(self.design, self.curv, self.qdiag)
-
-
-# what a GaussianApprox with a ``source`` may leave unformed until read
-_FORMED_ON_READ = ("mode", "precision", "chol", "coef_chol")
-
-
 @dataclass
 class GaussianApprox:
     """Gaussian approximation at the conditional mode of the latent field.
 
-    ``precision`` is the negative Hessian over the whole latent vector and
-    ``chol`` its lower Cholesky factor; ``log_det`` is its log-determinant.
-    ``coef_chol`` is the lower Cholesky factor of the marginal precision of
-    the coefficients a, the first ``n_coef`` entries of ``mode``: the factor
-    of the Schur complement S for the overdispersed Poisson family, and the
-    same matrix as ``chol`` otherwise.
-
-    An approximation built with a ``source`` may leave ``mode``,
-    ``precision``, ``chol`` and ``coef_chol`` as None; each is then formed
-    on its first read (``chol`` as the Cholesky factor of ``precision``,
-    ``coef_chol`` as ``chol``, the others by ``source.form(name)``) and
-    kept.  Two sources exist.  For the overdispersed family Newton never
-    forms the full (n_coef + n)^2 matrix: its source is an :class:`_Arrow`,
-    and the precision and its factor cost O((n + k)^2) memory and
-    O((n + k)^3) time when read.  For the Gaussian family with the noise SD
-    fixed, :class:`GaussianPencil` evaluates a hyperparameter at O(k): its
-    source holds the point's diagonal in the pencil's eigenbasis, from which
-    the mode costs O(k^2) and the precision O(k^2) when read.
+    ``log_det`` is the log-determinant of ``precision``, the negative Hessian
+    over the whole latent vector, and ``chol`` is its lower Cholesky factor.
+    The coefficients a, the first ``n_coef`` entries of ``mode``, have the
+    covariance B diag(1 / s) B' with B = ``cov_basis`` and s = ``cov_scale``:
+    B = L^-T and s = 1 at a Newton mode, L L' the coefficients' marginal
+    precision (the Schur complement S for the overdispersed family), and
+    B = W and s = D at a :class:`GaussianPencil` point.  ``cov_basis`` and
+    ``precision`` are formed on first read by ``form_cov_basis`` and
+    ``form_precision``, ``chol`` from ``precision``, and each is kept; for
+    the overdispersed family nothing (n + k)^2 is formed before that read.
     """
 
-    mode: Optional[np.ndarray]
-    precision: Optional[np.ndarray]
-    chol: Optional[np.ndarray]
+    mode: np.ndarray
     log_det: float
     log_joint_at_mode: float
     predicted_gain: float  # g' H^-1 g / 2 at the mode, in nats
     iterations: int
-    # a default factory leaves no class attribute behind, so an unformed
-    # coef_chol reaches __getattr__ like the other fields
-    coef_chol: Optional[np.ndarray] = field(default_factory=lambda: None)
-    source: Optional[object] = field(default=None, repr=False)
+    cov_scale: np.ndarray
+    form_cov_basis: Callable[[], np.ndarray] = field(repr=False)
+    form_precision: Callable[[], np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
-        if self.source is None:
-            if self.coef_chol is None:
-                self.coef_chol = self.chol
-            return
-        for name in _FORMED_ON_READ:
-            if self.__dict__[name] is None:
-                del self.__dict__[name]  # formed by __getattr__ on first read
+    @cached_property
+    def cov_basis(self) -> np.ndarray:
+        return self.form_cov_basis()
 
-    def __getattr__(self, name):
-        # reached only for attributes not set: the fields left unformed
-        source = self.__dict__.get("source")
-        if source is None or name not in _FORMED_ON_READ:
-            raise AttributeError(name)
-        if name == "chol":
-            value = linalg.cholesky(self.precision, lower=True)
-        elif name == "coef_chol":
-            value = self.chol
-        else:
-            value = source.form(name)
-        setattr(self, name, value)
-        return value
+    @cached_property
+    def precision(self) -> np.ndarray:
+        return self.form_precision()
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        return linalg.cholesky(self.precision, lower=True)
+
+
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of a lower Cholesky factor, whose positive diagonal makes it exist."""
+    inv, _ = linalg.lapack.dtrtri(chol, lower=1)
+    return inv
+
+
+def _covariance_basis(chol: np.ndarray) -> np.ndarray:
+    """L^-T for a precision L L': the covariance is L^-T L^-1."""
+    return _lower_inverse(chol).T
 
 
 _NEWTON_TOL = 1e-14  # nats of predicted gain
@@ -375,8 +351,10 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
     it factors the Schur complement S = A - B D^-1 B' = X' diag(c / (1 +
     phi^2 c)) X + Q_a, solves S s_a = g_a - X'(c g_eps / d) and sets s_eps =
     (g_eps - c X s_a) / d, so an iterate costs O(n k^2) and log det H =
-    sum log d + log det S.  The returned precision, Cholesky factor and
-    log-determinant are the last factorization's.
+    sum log d + log det S.  The log-determinant and the covariance basis
+    L^-T (of S for the overdispersed family) come from the last
+    factorization; the precision is the last Hessian, or for the
+    overdispersed family the full arrow matrix, formed when read.
     """
     sigma, hyper = model.split_theta(theta)
     qdiag = model.prior_precision_diag(sigma, hyper)
@@ -452,19 +430,14 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
     lower = np.tril(chol[0])
     log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
     if overdispersed:
-        return GaussianApprox(
-            mode=w, precision=None, chol=None, log_det=float(np.sum(np.log(d))) + log_det,
-            log_joint_at_mode=lj, predicted_gain=gain, iterations=iterations,
-            coef_chol=lower, source=_Arrow(X, curv, qdiag),
-        )
+        log_det += float(np.sum(np.log(d)))
+        form_precision = partial(_arrow_precision, X, curv, qdiag)
+    else:
+        form_precision = partial(np.asarray, hess)  # the last Hessian, already formed
     return GaussianApprox(
-        mode=w,
-        precision=hess,
-        chol=lower,
-        log_det=log_det,
-        log_joint_at_mode=lj,
-        predicted_gain=gain,
-        iterations=iterations,
+        mode=w, log_det=log_det, log_joint_at_mode=lj, predicted_gain=gain,
+        iterations=iterations, cov_scale=np.ones(m),
+        form_cov_basis=partial(_covariance_basis, lower), form_precision=form_precision,
     )
 
 
@@ -491,12 +464,6 @@ def _gaussian_precision(model: LatentModel, sigma: float) -> np.ndarray:
     hess = model.gram * (1.0 / kappa**2)
     hess[np.diag_indices_from(hess)] += model.prior_precision_diag(sigma, kappa)
     return hess
-
-
-def _lower_inverse(chol: np.ndarray) -> np.ndarray:
-    """Inverse of a lower Cholesky factor, whose positive diagonal makes it exist."""
-    inv, _ = linalg.lapack.dtrtri(chol, lower=1)
-    return inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -529,11 +496,12 @@ class GaussianPencil:
     coordinates.  W then diagonalizes H(s) to rounding at every s.
 
     Set-up costs one Newton solve and O(n k^2 + k^3) of dense algebra, once
-    per fit; :meth:`log_post` then costs O(k) per theta.  Its approximation
-    forms the mode (O(k^2)), the precision (O(k^2)) and their factors only
-    when read; draws and moments go through ``W`` and the point's D.  The
-    mode is exact rather than iterated to, so the approximation reports
-    zero Newton iterations and a predicted gain of 0.
+    per fit; :meth:`log_post` then costs O(k) per theta and O(k^2) for the
+    mode.  Its approximation's covariance basis is ``W``, the same array at
+    every sigma, and its scale is D, so the coefficient covariance is
+    W diag(1/D) W'; the precision (O(k^2)) and its factor are formed only
+    when read.  The mode is exact rather than iterated to, so the
+    approximation reports zero Newton iterations and a predicted gain of 0.
     """
 
     model: LatentModel
@@ -593,28 +561,13 @@ class GaussianPencil:
               + self.ref_log_lik + self.model.log_hyperprior(theta)
               + 0.5 * float(np.sum(z * z / scale)))
         approx = GaussianApprox(
-            mode=None, precision=None, chol=None,
+            mode=self.ref + self.W @ (z / scale),
             log_det=self.log_det_c + float(np.sum(np.log(scale))),
-            log_joint_at_mode=lj, predicted_gain=0.0, iterations=0,
-            source=_PencilPoint(self, sigma, scale, z),
+            log_joint_at_mode=lj, predicted_gain=0.0, iterations=0, cov_scale=scale,
+            form_cov_basis=partial(np.asarray, self.W),  # the one W every sigma shares
+            form_precision=partial(_gaussian_precision, self.model, sigma),
         )
         return laplace_log_marginal(self.model, theta, approx=approx), approx
-
-
-@dataclass(frozen=True, eq=False)
-class _PencilPoint:
-    """One sigma of a :class:`GaussianPencil`: H(s) = W^-T diag(scale) W^-1."""
-
-    pencil: GaussianPencil
-    sigma: float
-    scale: np.ndarray
-    z: np.ndarray
-
-    def form(self, name: str) -> np.ndarray:
-        pencil = self.pencil
-        if name == "mode":
-            return pencil.ref + pencil.W @ (self.z / self.scale)
-        return _gaussian_precision(pencil.model, self.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +617,12 @@ def aghq_fit(
     that single configuration.  ``num_samples`` draws of the coefficients
     a (the first ``model.n_coef`` latent entries; the observation effects of
     the overdispersed family are not drawn) are allocated to grid points
-    proportionally to their weights.  A Gaussian model with the noise SD
-    fixed and sigma free is evaluated through a :class:`GaussianPencil`
-    (one Newton solve per fit); every other model through one warm-started
-    Newton solve per hyperparameter value.
+    proportionally to their weights; a grid point draws mode + B s^-1/2 z
+    from its ``cov_basis`` B and ``cov_scale`` s, whatever the family.  A
+    Gaussian model with the noise SD fixed and sigma free is evaluated
+    through a :class:`GaussianPencil` (one Newton solve per fit); every
+    other model through one warm-started Newton solve per hyperparameter
+    value.
     """
     _require(num_quad >= 1, "num_quad must be >= 1")
     _require(num_samples >= 0, "num_samples must be >= 0")
@@ -702,18 +657,12 @@ def aghq_fit(
     samples = np.empty((num_samples, m))
     point_index = np.repeat(np.arange(len(weights)), counts)
     row = 0
-    for j, cnt in enumerate(counts):
-        if cnt == 0:
-            continue
-        child = np.random.default_rng([seed, 2, j])
-        z = child.standard_normal((m, cnt))
-        point = approxes[j].source
-        if isinstance(point, _PencilPoint):  # precision W^-T D W^-1: draws = mode + W D^-1/2 z
-            dev = point.pencil.W @ (z / np.sqrt(point.scale)[:, None])
-        else:  # coefficient precision = L L^T  =>  draws = mode + L^{-T} z
-            dev = linalg.solve_triangular(approxes[j].coef_chol, z, lower=True, trans="T")
-        samples[row : row + cnt] = approxes[j].mode[:m] + dev.T
-        row += cnt
+    for j, (approx, cnt) in enumerate(zip(approxes, counts)):
+        if cnt > 0:  # covariance B diag(1/s) B'  =>  draws = mode + B s^-1/2 z
+            z = np.random.default_rng([seed, 2, j]).standard_normal((m, cnt))
+            dev = approx.cov_basis @ (z / np.sqrt(approx.cov_scale)[:, None])
+            samples[row : row + cnt] = approx.mode[:m] + dev.T
+            row += cnt
 
     return PosteriorFit(
         model=model,
@@ -837,11 +786,11 @@ def posterior_function(
 def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean/SD of g^(q) under the fitted Gaussian mixture (no sampling).
 
-    A grid point's variances are the squared rows of design x L^-T, one
-    triangular solve against its ``coef_chol``, O(len(xs) k^2).  When every
-    grid point comes from one :class:`GaussianPencil` they share its
-    eigenbasis W: design x W is formed once per call, and each point's
-    variances are then (design W)^2 / D, at O(len(xs) k) per point.
+    A grid point's variances are (design B)^2 / s, with B its ``cov_basis``
+    and s its ``cov_scale``.  design x B is formed once per distinct basis,
+    so a fit from one :class:`GaussianPencil`, whose points share W, pays one
+    O(len(xs) k^2) product per call and O(len(xs) k) per point; a Newton fit
+    pays the product at every point.
     """
     _require_order(fit, q)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -850,15 +799,13 @@ def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np
     full = np.zeros((xs.size, m))
     full[:, : design.shape[1]] = design
     mus = full @ np.column_stack([approx.mode[:m] for approx in fit.approxes])
-    points = [approx.source for approx in fit.approxes]
-    if all(isinstance(p, _PencilPoint) and p.pencil is points[0].pencil for p in points):
-        inv_scales = np.column_stack([1.0 / p.scale for p in points])
-        var = (full @ points[0].pencil.W) ** 2 @ inv_scales
-    else:
-        var = np.column_stack([
-            np.sum(linalg.solve_triangular(a.coef_chol, full.T, lower=True) ** 2, axis=0)
-            for a in fit.approxes
-        ])
+    squares = {}  # id(basis) -> (full @ basis)^2; each basis stays alive in its approx
+    var = np.empty_like(mus)
+    for j, approx in enumerate(fit.approxes):
+        basis = approx.cov_basis
+        if id(basis) not in squares:
+            squares[id(basis)] = (full @ basis) ** 2
+        var[:, j] = squares[id(basis)] @ (1.0 / approx.cov_scale)
     mean = mus @ fit.weights
     sd = np.sqrt(np.maximum((var + mus**2) @ fit.weights - mean**2, 0.0))
     return mean, sd
@@ -868,10 +815,11 @@ def condition_number(approx: GaussianApprox) -> float:
     """Ratio of extreme singular values of the precision.
 
     The precision is symmetric positive definite, so its singular values are
-    its eigenvalues; a symmetric eigensolve is used.  For the overdispersed
-    Poisson family this reads the full (n_coef + n)^2 precision over
-    (a, eps), which is formed on that read, and the eigensolve costs
-    O((n + k)^3).
+    its eigenvalues; a symmetric eigensolve is used.  It reads
+    ``approx.precision``, the negative Hessian over the whole latent vector:
+    k x k for the Gaussian and Poisson families, and for the overdispersed
+    Poisson family the full (n_coef + n)^2 matrix over (a, eps), formed on
+    that read, whose eigensolve costs O((n + k)^3).
     """
     eigs = np.linalg.eigvalsh(approx.precision)
     if eigs[0] <= 0:

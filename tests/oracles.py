@@ -17,12 +17,16 @@ design, and its Newton mode is found by the dense loop over that design
 that the library once ran.  Curves are
 summarized sample-major with ``np.quantile``, as the fitter once did.  The
 quadrature's mode is found by Nelder-Mead and its curvature by a separate
-finite-difference Hessian, as ``adapt_quadrature`` once did.
+finite-difference Hessian, as ``adapt_quadrature`` once did.  Single basis
+functions and knot-cell indicators are evaluated one value at a time, and
+covariances are integrated repeatedly by adaptive quadrature, as references
+for the closed-form basis and kernels.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from typing import Callable
 
 import mpmath
 import numpy as np
@@ -31,8 +35,8 @@ from scipy.special import gammaln, logsumexp
 
 from osplines import inference
 from osplines.aghq import AdaptedGrid
-from osplines.basis import _FACT, KnotSet, OSplineBasis, test_function_eval
-from osplines.errors import NumericError
+from osplines.basis import _FACT, KnotSet, OSplineBasis, _basis_columns
+from osplines.errors import NumericError, _require
 from osplines.exact import IWPKernel, _poly_cov_matrix
 from osplines.inference import (
     GaussianApprox,
@@ -41,6 +45,95 @@ from osplines.inference import (
     _curve_design,
     newton_mode,
 )
+
+
+def test_function_eval(knot_set: KnotSet, i: int, x: float) -> float:
+    """Indicator of the right-closed knot cell (s_{i-1}, s_i]; ``i`` is 1-based."""
+    _require(1 <= i <= knot_set.size, f"basis index {i} outside 1..{knot_set.size}")
+    lo = knot_set.lower_knots[i - 1]
+    hi = knot_set.knots[i - 1]
+    return 1.0 if (x > lo) and (x <= hi) else 0.0
+
+
+def basis_eval(basis: OSplineBasis, i: int, x: float, q: int = 0) -> float:
+    """q-th derivative of basis function ``i`` (1-based) at ``x``.
+
+    For ``q = p`` this is the underlying test function (right-closed at
+    knot points).  ``x`` must not lie left of the region start.
+    """
+    p = basis.order
+    ks = basis.knot_set
+    _require(1 <= i <= ks.size, f"basis index {i} outside 1..{ks.size}")
+    _require(0 <= q <= p, f"derivative order {q} exceeds basis order {p}")
+    _require(x >= ks.region_start, f"location {x} left of region start {ks.region_start}")
+    return float(_basis_columns(basis, np.array([x], dtype=float), q)[0, i - 1])
+
+
+def integrate_cov_oracle(
+    cov: Callable[[float, float], float],
+    s: float,
+    t: float,
+    steps: tuple[int, int],
+    abs_tol: float = 1e-9,
+) -> float:
+    """Repeated integration of a covariance function, by adaptive quadrature.
+
+    ``steps = (a, b)`` integrates ``a`` times in the first argument (each step
+    from 0) and ``b`` times in the second.  The iterated integrals are
+    collapsed to at most a double integral through the classical repeated-
+    integration identity I^a f(x) = int_0^x (x-u)^{a-1}/(a-1)! f(u) du, so the
+    quadrature stays two-dimensional no matter how many steps are requested.
+
+    This is deliberately independent of the closed-form kernels in
+    ``osplines.exact`` and serves as their oracle.
+    """
+    a, b = steps
+    _require(a >= 0 and b >= 0, "integration steps must be non-negative")
+    _require(s >= 0 and t >= 0, "locations must be >= 0")
+    if a == 0 and b == 0:
+        return float(cov(s, t))
+    if s == 0.0 or t == 0.0:
+        return 0.0
+
+    if b == 0:
+        ca = 1.0 / math.factorial(a - 1)
+        val, err = integrate.quad(
+            lambda u: ca * (s - u) ** (a - 1) * cov(u, t), 0.0, s,
+            points=[min(s, t)], epsabs=abs_tol / 10.0, epsrel=1e-12, limit=400,
+        )
+    elif a == 0:
+        cb = 1.0 / math.factorial(b - 1)
+        val, err = integrate.quad(
+            lambda v: cb * (t - v) ** (b - 1) * cov(s, v), 0.0, t,
+            points=[min(s, t)], epsabs=abs_tol / 10.0, epsrel=1e-12, limit=400,
+        )
+    else:
+        # nested 1-D quadratures; the inner integral is split at v = u so
+        # diagonal kinks (min-type covariances) do not poison the tolerance
+        ca = 1.0 / math.factorial(a - 1)
+        cb = 1.0 / math.factorial(b - 1)
+        inner_tol = abs_tol / (10.0 * max(s, 1.0))
+
+        def inner(u):
+            wu = ca * (s - u) ** (a - 1) if a > 1 else ca
+            val_in, _ = integrate.quad(
+                lambda v: (cb * (t - v) ** (b - 1) if b > 1 else cb) * cov(u, v),
+                0.0, t,
+                points=[min(max(u, 0.0), t)],
+                epsabs=inner_tol, epsrel=1e-13, limit=200,
+            )
+            return wu * val_in
+
+        val, err = integrate.quad(
+            inner, 0.0, s, points=[min(s, t)],
+            epsabs=abs_tol / 10.0, epsrel=1e-12, limit=400,
+        )
+    if err > abs_tol:
+        raise NumericError(
+            f"repeated-integration quadrature did not reach tolerance: "
+            f"estimated error {err:.3e} > {abs_tol:.3e} at (s={s}, t={t}, steps={steps})"
+        )
+    return float(val)
 
 
 def repeated_integral_of_test_function(knot_set: KnotSet, i: int, x: float, p: int) -> float:
@@ -148,9 +241,12 @@ def newton_mode_dense(model: LatentModel, theta=(), init=None) -> GaussianApprox
         iterations += 1
     lower = np.tril(chol[0])
     return GaussianApprox(
-        mode=w, precision=hess, chol=lower,
-        log_det=2.0 * float(np.sum(np.log(np.diag(lower)))),
+        mode=w, log_det=2.0 * float(np.sum(np.log(np.diag(lower)))),
         log_joint_at_mode=lj, predicted_gain=gain, iterations=iterations,
+        cov_scale=np.ones(w.size),
+        # the first n_coef rows of L^-T: the coefficients' marginal covariance
+        form_cov_basis=lambda: inference._covariance_basis(lower)[: model.n_coef],
+        form_precision=lambda: hess,
     )
 
 
@@ -342,7 +438,17 @@ def posterior_function_reference(fit, xs, q=0, transform=None, level=0.95) -> Po
 
 
 def gaussian_marginal_exact(model: LatentModel, theta=()) -> float:
-    """Analytic Gaussian-family marginal: N(y; 0, X Sigma X' + kappa^2 I)."""
+    """Analytic Gaussian-family marginal: N(y; 0, X Sigma X' + kappa^2 I).
+
+    Its range is small, well-conditioned models.  It factors the n x n
+    covariance in double precision, which the polynomial block's prior
+    variance (1000 on columns up to x^3/6) makes ill-conditioned: on the
+    mixture-study shape (n = 100, k = 100, order 3) it stands 2.4e-8,
+    4.9e-8 and 1.1e-7 relative from :func:`gaussian_log_marginal_mp` at
+    log sigma = -3, 0 and 2.5, so it cannot referee at 1e-8 there, and at
+    n = 1e4 it needs an 800 MB matrix.  Use :func:`gaussian_log_marginal_mp`
+    as the referee on such shapes.
+    """
     sigma, kappa = model.split_theta(theta)
     qd = model.prior_precision_diag(sigma, kappa)
     X = model.design

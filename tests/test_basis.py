@@ -7,15 +7,13 @@ from osplines import (
     InvalidArgumentError,
     KnotSet,
     OSplineBasis,
-    basis_eval,
     build_equal_knots,
     design_matrix,
     polynomial_design,
-    weight_precision,
 )
-from osplines import test_function_eval as cell_indicator
 from osplines.basis import _basis_columns
-from oracles import basis_columns_sum_form, repeated_integral_of_test_function
+from oracles import basis_columns_sum_form, basis_eval, repeated_integral_of_test_function
+from oracles import test_function_eval as cell_indicator
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +271,8 @@ def test_polynomial_design_validation():
 
 def test_weight_precision_examples():
     ks = build_equal_knots(0.0, 1.0, 10)
-    npt.assert_allclose(weight_precision(ks), 0.1)
-    npt.assert_allclose(1.0 / weight_precision(ks), 10.0)  # weight variance k
+    npt.assert_allclose(ks.spacings, 0.1)
+    npt.assert_allclose(1.0 / ks.spacings, 10.0)  # weight variance k
 
-    npt.assert_allclose(weight_precision(build_equal_knots(0.0, 1.0, 2)), [0.5, 0.5])
-    npt.assert_allclose(weight_precision(KnotSet(0.0, 4.0, [1.0, 4.0])), [1.0, 3.0])
+    npt.assert_allclose(build_equal_knots(0.0, 1.0, 2).spacings, [0.5, 0.5])
+    npt.assert_allclose(KnotSet(0.0, 4.0, [1.0, 4.0]).spacings, [1.0, 3.0])

@@ -214,6 +214,36 @@ def test_fit_deriv_at_or_above_order_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("family", ["poisson", "poisson-od"])
+def test_fit_negative_count_exits_3_naming_the_row(tmp_path, capsys, family):
+    data = tmp_path / "data.csv"
+    rows = [f"{float(i)},{c}" for i, c in enumerate([3, 1, 0, 2, -4, 5, 1, 2, 0, 3])]
+    data.write_text("\n".join(["x,y"] + rows) + "\n", encoding="utf-8")
+    rc = main([
+        "fit", "--data", str(data), "--x", "x", "--y", "y",
+        "--family", family, "--order", "2", "--knots", "5",
+        "--psd-h", "1", "--psd-median", "1", "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(data) in err and "row 6: negative count in column 'y'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_fit_grid_below_one_exits_2(tmp_path, capsys, grid):
+    data = tmp_path / "data.csv"
+    write_gaussian_csv(data, n=10)
+    rc = main([
+        "fit", "--data", str(data), "--x", "x", "--y", "y",
+        "--family", "gaussian", "--order", "2", "--knots", "5",
+        "--psd-h", "1", "--psd-median", "1", "--noise-sd", "1",
+        "--grid", grid, "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "--grid must be at least 1" in capsys.readouterr().err
+
+
 def test_fit_is_deterministic_given_seed(tmp_path):
     data = tmp_path / "data.csv"
     write_gaussian_csv(data, n=30)

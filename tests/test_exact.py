@@ -14,12 +14,11 @@ from osplines import (
     build_equal_knots,
     exact_gp_fit,
     exact_hierarchical_fit,
-    integrate_cov_oracle,
     prior_from_psd,
     sup_cov_error,
 )
 from osplines import exact
-from oracles import exact_mixture_moments
+from oracles import exact_mixture_moments, integrate_cov_oracle
 
 
 def brownian(s, t):
@@ -370,6 +369,33 @@ def test_hierarchical_fit_factorizes_only_inside_the_quadrature(monkeypatch):
     hierarchical_case(num_samples=400)
     assert counts["during"] > 0
     assert counts["after"] == 0
+
+
+def test_hierarchical_sampling_climbs_the_jitter_ladder_once_per_fit(monkeypatch):
+    """On the criterion-7 cell (n = 200 on (0, 20), unit noise) the sampled
+    posterior covariances need a jitter to factorize.  Each grid point starts
+    at the level where the previous one went through, so a fit fails at most
+    once per rung below the cap (1e-10 to 1e-4), not once per rung per point."""
+    failed = []
+    real_cholesky = exact.np.linalg.cholesky
+
+    def cholesky(*args, **kwargs):
+        try:
+            return real_cholesky(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            failed[-1] += 1
+            raise
+
+    monkeypatch.setattr(exact.np.linalg, "cholesky", cholesky)
+    xs = np.linspace(0.0, 20.0, 200)
+    prior = prior_from_psd(PSDSpec(h=5.0, order=3), 3.0, 0.01)
+    for seed in range(3):
+        ys = np.sqrt(3.0) * np.sin(xs / 2.0) + np.random.default_rng(seed).standard_normal(200)
+        failed.append(0)
+        exact_hierarchical_fit(3, xs, ys, 1.0, np.full(3, np.sqrt(1000.0)), prior,
+                               num_quad=10, num_samples=3000, seed=seed)
+    assert all(count <= 4 for count in failed), failed
+    assert sum(failed) > 0, "no grid point needed a jitter: the ladder went untested"
 
 
 def test_cov_grid_tabulation_matches_kernels():

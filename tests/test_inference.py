@@ -421,7 +421,33 @@ def test_overdispersed_fit_path_forms_no_full_precision(monkeypatch):
     scale = np.sqrt(np.outer(np.diag(H), np.diag(H)))
     assert np.max(np.abs(approx.chol @ approx.chol.T - H) / scale) <= 1e-10
     assert calls == ["precision", "chol"]
-    assert approx.coef_chol.shape == (model.n_coef, model.n_coef)
+    assert approx.cov_basis.shape == (model.n_coef, model.n_coef)
+
+
+def approximation_case(name):
+    """A small well-conditioned model and one Gaussian approximation of it."""
+    if name == "gaussian_newton":
+        model, _ = tiny_gaussian_model(n=12, k=4)
+        return model, newton_mode(model)
+    if name == "gaussian_pencil":
+        model, _ = tiny_gaussian_model(n=12, k=4, sigma_prior=ExponentialPrior(1.0))
+        return model, inference.GaussianPencil.from_model(model).log_post([-0.5])[1]
+    model = tiny_poisson_model()[0] if name == "poisson" else small_od_model()
+    return model, newton_mode(model, model.theta_start())
+
+
+@pytest.mark.parametrize("name", ["gaussian_newton", "gaussian_pencil", "poisson", "poisson_od"])
+def test_covariance_basis_diagonalizes_the_coefficient_precision(name):
+    """B' S B = diag(s) for B = ``cov_basis`` and s = ``cov_scale``, where S is
+    the coefficients' marginal precision: ``precision`` itself, or its Schur
+    complement over the observation effects for the overdispersed family."""
+    model, approx = approximation_case(name)
+    H, m = approx.precision, model.n_coef
+    S = H[:m, :m] - H[:m, m:] @ np.linalg.solve(H[m:, m:], H[m:, :m]) if m < H.shape[0] else H
+    B = approx.cov_basis
+    assert B.shape[0] == m and approx.cov_scale.shape == (B.shape[1],)
+    want = np.diag(approx.cov_scale)
+    assert np.max(np.abs(B.T @ S @ B - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -824,13 +850,15 @@ def test_posterior_function_matches_sample_major_reference():
 
 def test_condition_number_trivial_cases():
     eye = GaussianApprox(
-        mode=np.zeros(2), precision=np.eye(2), chol=np.eye(2),
-        log_det=0.0, log_joint_at_mode=0.0, predicted_gain=0.0, iterations=0,
+        mode=np.zeros(2), log_det=0.0, log_joint_at_mode=0.0, predicted_gain=0.0,
+        iterations=0, cov_scale=np.ones(2), form_cov_basis=lambda: np.eye(2),
+        form_precision=lambda: np.eye(2),
     )
     assert condition_number(eye) == pytest.approx(1.0)
     diag = GaussianApprox(
-        mode=np.zeros(2), precision=np.diag([100.0, 1.0]), chol=np.diag([10.0, 1.0]),
-        log_det=0.0, log_joint_at_mode=0.0, predicted_gain=0.0, iterations=0,
+        mode=np.zeros(2), log_det=0.0, log_joint_at_mode=0.0, predicted_gain=0.0,
+        iterations=0, cov_scale=np.array([100.0, 1.0]), form_cov_basis=lambda: np.eye(2),
+        form_precision=lambda: np.diag([100.0, 1.0]),
     )
     assert condition_number(diag) == pytest.approx(100.0)
 
@@ -871,3 +899,21 @@ def test_model_validation():
             np.array([0.5]), np.array([1.0]), basis, "poisson",
             sigma_fixed=1.0, family_hyper_fixed=1.0,
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_a_non_finite_response(bad):
+    with pytest.raises(InvalidArgumentError, match="non-finite response at observation 2"):
+        tiny_gaussian_model(ys=[0.1, -0.3, bad, 0.2, 0.0])
+
+
+@pytest.mark.parametrize("family", ["poisson", "poisson_od"])
+def test_count_models_reject_a_negative_response(family):
+    _, basis = tiny_poisson_model()
+    xs = np.array([0.4, 0.9, 1.3, 1.8])
+    hyper = {"family_hyper_fixed": 0.5} if family == "poisson_od" else {}
+    with pytest.raises(InvalidArgumentError, match="negative count at observation 1"):
+        build_model(xs, np.array([1.0, -1.0, 2.0, 0.0]), basis, family, sigma_fixed=0.9, **hyper)
+    # non-negative non-integer counts stay accepted, as does a negative Gaussian response
+    build_model(xs, np.array([1.5, 0.0, 2.25, 0.5]), basis, family, sigma_fixed=0.9, **hyper)
+    tiny_gaussian_model(ys=[-1.0, -2.0, -3.0, -4.0, -5.0])

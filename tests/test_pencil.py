@@ -237,7 +237,7 @@ def test_formed_fields_keep_their_meaning():
         assert condition_number(approx) == pytest.approx(condition_number(ref), rel=1e-10)
         npt.assert_allclose(approx.precision, ref.precision, rtol=1e-14)
         npt.assert_allclose(approx.chol, ref.chol, rtol=1e-10, atol=1e-12 * np.max(ref.chol))
-        assert approx.coef_chol is approx.chol
+        assert approx.cov_basis is fit.approxes[0].cov_basis  # the shared W
     assert max_condition_number(fit) == pytest.approx(
         max(condition_number(r) for r in refs), rel=1e-10)
 
