@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import OSplineBasis, build_equal_knots
+from .basis import MAX_ORDER, OSplineBasis, build_equal_knots
 from .errors import DataError, InvalidArgumentError, NumericError
 from .exact import _cov_tables
 from .inference import (
@@ -144,6 +144,10 @@ def _sigma_prior_from_args(args, order: int) -> ExponentialPrior:
 
 
 def cmd_fit(args) -> int:
+    if not 1 <= args.order <= MAX_ORDER:
+        raise InvalidArgumentError(f"--order must lie in 1..{MAX_ORDER} (got {args.order})")
+    if args.samples < 1:
+        raise InvalidArgumentError(f"--samples must be at least 1 (got {args.samples})")
     derivs = [int(q) for q in str(args.deriv).split(",") if q != ""]
     if any(q < 0 or q >= args.order for q in derivs):
         raise InvalidArgumentError(
@@ -197,6 +201,8 @@ def cmd_fit(args) -> int:
         **family_kwargs,
     )
     fit = aghq_fit(model, num_quad=args.quad, num_samples=args.samples, seed=args.seed)
+    # before any file is written, so a numeric failure here leaves no partial output
+    conds = [condition_number(a) for a in fit.approxes]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -244,7 +250,6 @@ def cmd_fit(args) -> int:
         )
         files.append(path)
 
-    conds = [condition_number(a) for a in fit.approxes]
     manifest = {
         "command": "fit",
         "seed": args.seed,

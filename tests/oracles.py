@@ -14,7 +14,9 @@ the spectral path's rounding reaches.  The overdispersed
 family's observation effects, which the library eliminates by Schur
 complement, are written out here as an explicit identity block of the
 design, and its Newton mode is found by the dense loop over that design
-that the library once ran.  Curves are
+that the library once ran; the extreme eigenvalues of its precision, which
+the library reads by Lanczos on that structure, are taken from the formed
+matrix in 50-digit arithmetic.  Curves are
 summarized sample-major with ``np.quantile``, as the fitter once did.  The
 quadrature's mode is found by Nelder-Mead and its curvature by a separate
 finite-difference Hessian, as ``adapt_quadrature`` once did.  Single basis
@@ -248,6 +250,34 @@ def newton_mode_dense(model: LatentModel, theta=(), init=None) -> GaussianApprox
         form_cov_basis=lambda: inference._covariance_basis(lower)[: model.n_coef],
         form_precision=lambda: hess,
     )
+
+
+def precision_extremes_mp(model: LatentModel, mode, theta=(), dps: int = 50):
+    """(lambda_min, lambda_max) of the negative Hessian at ``mode`` over
+    :func:`full_design`, by ``mpmath.eigsy`` in ``dps``-digit arithmetic.
+
+    The design, prior precisions and the curvature exp(eta) (1/kappa^2 for
+    the Gaussian family) are taken as doubles, which mpmath represents
+    exactly; H = X_f' diag(curv) X_f + diag(q) is then assembled and
+    eigensolved in ``dps`` digits, so no step of it is rounded to double.
+    Meant for latent dimensions of a few dozen.
+    """
+    mode = np.asarray(mode, dtype=float)
+    sigma, hyper = model.split_theta(theta)
+    qdiag = model.prior_precision_diag(sigma, hyper)
+    X = full_design(model)
+    n, size = X.shape
+    curv = np.full(n, 1.0 / hyper**2) if model.family == "gaussian" else np.exp(X @ mode)
+    with mpmath.workdps(dps):
+        Xm = mpmath.matrix(X.tolist())
+        c = [mpmath.mpf(float(v)) for v in curv]
+        H = mpmath.matrix(size, size)
+        for i in range(size):
+            for j in range(i + 1):
+                H[i, j] = H[j, i] = mpmath.fsum(Xm[r, i] * c[r] * Xm[r, j] for r in range(n))
+            H[i, i] += mpmath.mpf(float(qdiag[i]))
+        eigs = mpmath.eigsy(H, eigvals_only=True)
+        return float(min(eigs)), float(max(eigs))
 
 
 def log_joint_scalar(model: LatentModel, latent, theta=()) -> float:

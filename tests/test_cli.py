@@ -244,6 +244,31 @@ def test_fit_grid_below_one_exits_2(tmp_path, capsys, grid):
     assert "--grid must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--samples", "0", "--samples must be at least 1 (got 0)"),
+    ("--samples", "-5", "--samples must be at least 1 (got -5)"),
+    ("--order", "0", "--order must lie in 1..20 (got 0)"),
+    ("--order", "21", "--order must lie in 1..20 (got 21)"),
+])
+def test_fit_usage_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch, flag, value, message):
+    """Bad --samples and --order are named and rejected before the data are
+    read or a fit is run, so no output directory is left behind."""
+    from osplines import cli
+
+    monkeypatch.setattr(cli, "aghq_fit", lambda *a, **k: pytest.fail("fit ran"))
+    data = tmp_path / "data.csv"
+    write_gaussian_csv(data, n=10)
+    argv = {
+        "--data": str(data), "--x": "x", "--y": "y", "--family": "gaussian",
+        "--order": "2", "--knots": "5", "--psd-h": "1", "--psd-median": "1",
+        "--noise-sd": "1", "--out": str(tmp_path / "o"), flag: value,
+    }
+    rc = main(["fit"] + [part for item in argv.items() for part in item])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_is_deterministic_given_seed(tmp_path):
     data = tmp_path / "data.csv"
     write_gaussian_csv(data, n=30)
@@ -257,6 +282,61 @@ def test_fit_is_deterministic_given_seed(tmp_path):
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     for name in ("curve_q0.csv", "curve_q1.csv", "hyperparameters.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def poisson_od_fit_argv(tmp_path, n):
+    """An ``osplines fit --family poisson-od`` run on n overdispersed counts
+    in the benchmark's shape (order 3, 50 knots), on a 3 x 3 grid."""
+    rng = np.random.default_rng([7, n])
+    x = np.arange(n, dtype=float)
+    g = 2.5 + np.sin(2.0 * np.pi * x / 120.0)
+    y = rng.poisson(np.exp(g + rng.normal(0.0, 0.1, n)))
+    data = tmp_path / "counts.csv"
+    data.write_text("day,count\n" + "".join(f"{i},{c}\n" for i, c in enumerate(y)))
+    return [
+        "fit", "--data", str(data), "--x", "day", "--y", "count", "--family", "poisson-od",
+        "--order", "3", "--knots", "50", "--psd-h", "30", "--psd-u", "1", "--psd-alpha", "0.01",
+        "--quad", "3", "--samples", "200", "--deriv", "0,1", "--seed", "3",
+    ]
+
+
+def test_fit_poisson_od_forms_no_full_precision(tmp_path, monkeypatch):
+    """At n = 1000 the full precision over (a, eps) would be 1050^2; the
+    manifest's condition numbers are read by Lanczos without it."""
+    from osplines import inference
+
+    formed = []
+    monkeypatch.setattr(inference, "_arrow_precision", lambda *a: formed.append(1))
+    out = tmp_path / "out"
+    assert main(poisson_od_fit_argv(tmp_path, 1000) + ["--out", str(out)]) == 0
+    assert formed == []
+    conds = json.loads((out / "manifest.json").read_text())["condition_numbers"]
+    assert len(conds) == 9 and all(np.isfinite(conds)) and min(conds) > 1.0
+
+
+def test_fit_poisson_od_lanczos_failure_exits_4_writing_nothing(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def stalled(op, *args, **kwargs):
+        raise sla.ArpackNoConvergence("No convergence", np.empty(0), np.empty((op.shape[0], 0)))
+
+    monkeypatch.setattr(sla, "eigsh", stalled)
+    rc = main(poisson_od_fit_argv(tmp_path, 300) + ["--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert "Lanczos did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fit_poisson_od_is_deterministic_given_seed(tmp_path):
+    """Two seeded poisson-od runs write the same bytes, the manifest's
+    Lanczos condition numbers included."""
+    argv = poisson_od_fit_argv(tmp_path, 300)
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert "manifest.json" in names
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from osplines import (
     ExponentialPrior,
     IWPKernel,
     InvalidArgumentError,
+    NumericError,
     OSplineBasis,
     OSplineKernel,
     PSDSpec,
@@ -41,6 +42,7 @@ from oracles import (
     newton_mode_dense,
     newton_predicted_gain,
     posterior_function_reference,
+    precision_extremes_mp,
 )
 
 
@@ -422,6 +424,88 @@ def test_overdispersed_fit_path_forms_no_full_precision(monkeypatch):
     assert np.max(np.abs(approx.chol @ approx.chol.T - H) / scale) <= 1e-10
     assert calls == ["precision", "chol"]
     assert approx.cov_basis.shape == (model.n_coef, model.n_coef)
+
+
+@pytest.mark.parametrize("name", ["seed_1106", "large_covariate", "small"])
+def test_arrow_extremes_match_dense_eigvalsh(rng, monkeypatch, name):
+    """Lanczos on the arrow structure reads both ends of the overdispersed
+    precision's spectrum without forming it, and agrees with a dense
+    ``eigvalsh`` of the formed matrix to what that solve resolves: its
+    lambda_min carries an error of up to ~eps x lambda_max, so 1e-10
+    relative at the small model's condition number of 5e3 and 1e-4 at 2e13
+    and 4e13 (measured 1.7e-13, 5.4e-6 and 8e-7; lambda_max to 2.2e-16).
+    Reruns give the same bytes."""
+    model, theta = od_case(name, rng)
+    formed = []
+    real = inference._arrow_precision
+    monkeypatch.setattr(inference, "_arrow_precision", lambda *a: formed.append(1) or real(*a))
+    approx = newton_mode(model, theta)
+    lo, hi = approx.extremes
+    assert formed == []
+    assert condition_number(approx) == hi / lo
+    again = newton_mode(model, theta).extremes
+    assert np.array(again).tobytes() == np.array([lo, hi]).tobytes()
+
+    eigs = np.linalg.eigvalsh(approx.precision)
+    assert hi == pytest.approx(eigs[-1], rel=1e-12)
+    assert lo == pytest.approx(eigs[0], rel=1e-10 if name == "small" else 1e-4)
+
+
+def test_arrow_extremes_converge_on_an_eigenvalue_cluster(rng):
+    """At its start the large-covariate model puts the polynomial prior
+    precision and 1/phi^2 both at 100, so directions (a, -X a) on the
+    polynomial block are exact eigenvectors there: the bottom of the
+    spectrum is a cluster of eigenvalues within 1e-6 of each other, which a
+    residual tolerance of machine precision never separates.  Lanczos still
+    converges and lands in it."""
+    model = large_covariate_od_model(rng)
+    approx = newton_mode(model, model.theta_start())
+    eigs = np.linalg.eigvalsh(approx.precision)
+    assert np.sum(eigs <= eigs[0] * (1.0 + 1e-6)) >= 3
+    lo, hi = approx.extremes
+    assert lo == pytest.approx(eigs[0], rel=1e-4)
+    assert hi == pytest.approx(eigs[-1], rel=1e-12)
+
+
+def test_arrow_extremes_report_lanczos_failure(monkeypatch):
+    """ARPACK's non-convergence surfaces as NumericError, with no silent
+    fall-back to the dense eigensolve."""
+    import scipy.sparse.linalg as sla
+
+    def stalled(op, *args, **kwargs):
+        raise sla.ArpackNoConvergence("No convergence", np.empty(0), np.empty((op.shape[0], 0)))
+
+    monkeypatch.setattr(sla, "eigsh", stalled)
+    formed = []
+    monkeypatch.setattr(inference, "_arrow_precision", lambda *a: formed.append(1))
+    model = small_od_model()
+    approx = newton_mode(model, model.theta_start())
+    with pytest.raises(NumericError, match="Lanczos"):
+        condition_number(approx)
+    assert formed == []
+
+
+def test_arrow_extremes_match_the_50_digit_referee():
+    """Both ends agree to 1e-10 with a 50-digit eigensolve of the small
+    model's 33 x 33 precision (measured 5e-13 and 0)."""
+    model = small_od_model()
+    theta = model.theta_start()
+    approx = newton_mode(model, theta)
+    assert model.latent_dim == 33
+    ref_lo, ref_hi = precision_extremes_mp(model, approx.mode, theta)
+    lo, hi = approx.extremes
+    assert lo == pytest.approx(ref_lo, rel=1e-10)
+    assert hi == pytest.approx(ref_hi, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", ["gaussian_newton", "gaussian_pencil", "poisson"])
+def test_k_by_k_condition_numbers_are_the_dense_eigensolve(name):
+    """The Gaussian, pencil and plain-Poisson precisions are k x k and keep
+    the ends of a dense ``eigvalsh``, to the bit."""
+    _, approx = approximation_case(name)
+    assert approx.form_extremes is None
+    eigs = np.linalg.eigvalsh(approx.precision)
+    assert condition_number(approx) == float(eigs[-1] / eigs[0])
 
 
 def approximation_case(name):
