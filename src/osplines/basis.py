@@ -20,6 +20,16 @@ order-``(p-q)`` basis over the same knots, so joint inference for a function
 and its derivatives only ever requires re-evaluating design matrices at a
 lower order with unchanged weights.
 
+On each knot cell a function in the span -- weights ``w`` on the basis plus
+the degree-``(p-1)`` polynomials -- is a degree-``p`` polynomial, fixed by
+its Taylor state at the cell's left end: the derivatives
+``g^(m)(s_{c-1})``, m < p, and ``g^(p) = w_c`` inside the cell.  The state
+carries from cell to cell by the Taylor shift
+``a'_m = sum_{r>=m} a_r h_c^{r-m} / (r-m)!`` over the cell width ``h_c``,
+which is the recursion by which the ``p``-fold integrated Wiener process
+integrates its piecewise-constant ``p``-th derivative.  :func:`cell_offsets`
+places locations in cells for evaluation in that form.
+
 Knot cells are right-closed, ``(s_{i-1}, s_i]``, which fixes evaluation
 exactly at knot locations.  All types are immutable and all operations are
 pure functions, safe to call concurrently.
@@ -177,14 +187,8 @@ def _basis_columns(basis: OSplineBasis, xs: np.ndarray, q: int) -> np.ndarray:
     return cols
 
 
-def design_matrix(basis: OSplineBasis, xs, q: int = 0) -> DesignBlock:
-    """Design matrix with entry (i, j) = q-th derivative of basis j at xs[i].
-
-    Locations must lie inside the region; extrapolation is not supported.
-    Locations exactly at the region start produce zero rows.
-    """
-    p = basis.order
-    _require(0 <= q <= p, f"derivative order {q} exceeds basis order {p}")
+def _locations(basis: OSplineBasis, xs) -> np.ndarray:
+    """``xs`` as a float array, checked to be finite and inside the region."""
     x = np.atleast_1d(np.asarray(xs, dtype=float))
     _require(bool(np.all(np.isfinite(x))), "locations must be finite")
     bad = (x < basis.region_start) | (x > basis.region_end)
@@ -193,7 +197,36 @@ def design_matrix(basis: OSplineBasis, xs, q: int = 0) -> DesignBlock:
             f"location {x[bad][0]} outside region "
             f"[{basis.region_start}, {basis.region_end}]"
         )
+    return x
+
+
+def design_matrix(basis: OSplineBasis, xs, q: int = 0) -> DesignBlock:
+    """Design matrix with entry (i, j) = q-th derivative of basis j at xs[i].
+
+    Locations must lie inside the region; extrapolation is not supported.
+    Locations exactly at the region start produce zero rows.
+    """
+    p = basis.order
+    _require(0 <= q <= p, f"derivative order {q} exceeds basis order {p}")
+    x = _locations(basis, xs)
     return DesignBlock(values=_basis_columns(basis, x, q), derivative_order=q, source_order=p)
+
+
+def cell_offsets(basis: OSplineBasis, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Knot cell of each location and its offset from the cell's left end.
+
+    Cells are numbered 0..k+1: cell c in 1..k is (s_{c-1}, s_c]; cell 0 is
+    the point s_0 itself, which no right-closed cell contains; cell k+1 is
+    (s_k, region_end], empty when the last knot is the region's end.  The
+    offset is x - s_{c-1} (0 in cell 0, x - s_k in cell k+1).  Locations are
+    checked as :func:`design_matrix` checks them.
+    """
+    x = _locations(basis, xs)
+    ks = basis.knot_set
+    cells = np.searchsorted(ks.knots, x, side="left") + 1
+    cells[x == ks.region_start] = 0
+    left = np.concatenate(([ks.region_start, ks.region_start], ks.knots))
+    return cells, x - left[cells]
 
 
 def polynomial_design(xs, p: int, q: int = 0) -> np.ndarray:

@@ -28,6 +28,7 @@ for the closed-form basis and kernels.
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 import mpmath
@@ -463,8 +464,29 @@ def posterior_function_reference(fit, xs, q=0, transform=None, level=0.95) -> Po
     return PosteriorCurve(
         xs=xs, derivative_order=q, transform=transform,
         mean=paths.mean(axis=0), sd=paths.std(axis=0, ddof=1),
-        lower=lower, upper=upper, samples=paths, level=level,
+        lower=lower, upper=upper, level=level, form_samples=partial(np.asarray, paths),
     )
+
+
+def curve_paths_longdouble(fit, xs, q=0) -> np.ndarray:
+    """samples x len(xs) paths g^(q) of the fit's draws, summed in extended
+    precision (``np.longdouble``) over the truncated-power design, itself
+    formed in extended precision from the double knots and xs."""
+    basis = fit.basis
+    p, ks = basis.order, basis.knot_set
+    m = p - q
+    x = np.asarray(xs, dtype=np.longdouble)[:, None]
+    lower = ks.lower_knots.astype(np.longdouble)
+    upper = ks.knots.astype(np.longdouble)
+    if m == 0:
+        phi = ((x > lower) & (x <= upper)).astype(np.longdouble)
+    else:
+        phi = (np.maximum(x - lower, 0) ** m - np.maximum(x - upper, 0) ** m) / math.factorial(m)
+    poly = np.zeros((x.shape[0], p), dtype=np.longdouble)
+    for l in range(q, p):
+        poly[:, l] = math.factorial(l) // math.factorial(l - q) * x[:, 0] ** (l - q)
+    coefs = fit.samples[:, : basis.size + p].astype(np.longdouble)
+    return coefs @ np.hstack([phi, poly]).T
 
 
 def gaussian_marginal_exact(model: LatentModel, theta=()) -> float:

@@ -29,11 +29,13 @@ from osplines import (
     prior_from_psd,
     sum_coded_design,
 )
-from osplines import inference
+from osplines import KnotSet, inference
+from osplines.basis import design_matrix, polynomial_design
 from osplines.inference import GaussianApprox
 from oracles import (
     adapt_quadrature_nelder_mead,
     brute_log_marginal,
+    curve_paths_longdouble,
     fd_hessian_of_log_joint,
     gaussian_marginal_exact,
     gaussian_mode_dense,
@@ -824,14 +826,14 @@ def test_exp_transform_derivative_chain_rule():
 
 
 def test_posterior_function_validation(monkeypatch):
-    """Invalid arguments are rejected before any curve design is formed."""
+    """Invalid arguments are rejected before any curve is evaluated."""
     prior = ExponentialPrior(1.0)
     model, _ = tiny_gaussian_model(n=12, k=4, sigma_prior=prior)
     fit = aghq_fit(model, num_quad=1, num_samples=10, seed=0)
     empty = aghq_fit(model, num_quad=1, num_samples=0, seed=0)
     calls = []
-    design = inference._curve_design
-    monkeypatch.setattr(inference, "_curve_design", lambda *a: calls.append(a) or design(*a))
+    blocks = inference._path_blocks
+    monkeypatch.setattr(inference, "_path_blocks", lambda *a: calls.append(a) or blocks(*a))
     bad = [
         (fit, dict(q=2, transform="exp")),
         (fit, dict(q=1, transform="exp2")),
@@ -846,7 +848,20 @@ def test_posterior_function_validation(monkeypatch):
             posterior_function(target, [0.5], **kwargs)
         assert calls == [], kwargs
     posterior_function(fit, [0.5], q=1, transform="exp")
-    assert len(calls) == 2
+    assert len(calls) == 1  # one pass forms g' and g
+
+
+def test_posterior_function_rejects_bad_locations(monkeypatch):
+    """Non-finite and out-of-region xs raise before any curve is evaluated."""
+    model, _ = tiny_gaussian_model(n=12, k=4, sigma_prior=ExponentialPrior(1.0))
+    fit = aghq_fit(model, num_quad=1, num_samples=10, seed=0)
+    calls = []
+    blocks = inference._path_blocks
+    monkeypatch.setattr(inference, "_path_blocks", lambda *a: calls.append(a) or blocks(*a))
+    for xs in ([0.5, np.nan], [np.inf], [-np.inf, 0.5], [-1e-9], [0.2, 1.0 + 1e-9]):
+        with pytest.raises(InvalidArgumentError):
+            posterior_function(fit, xs)
+        assert calls == [], xs
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the SD of one sample is NaN
@@ -882,6 +897,106 @@ def test_posterior_function_intervals_sit_at_the_decimal_tails():
         want = np.quantile(got.samples, probs, axis=0, method="inverted_cdf")
         npt.assert_array_equal(got.lower, want[0])
         npt.assert_array_equal(got.upper, want[1])
+
+
+def drawn_fit(basis, num_samples, seed=0):
+    """A fit whose draws come from the prior at sigma = 1: weights with
+    variance 1/d_i, polynomial coefficients standard normal."""
+    ks = basis.knot_set
+    xs = np.linspace(ks.region_start, ks.region_end, 5)
+    model = build_model(xs, np.zeros(5), basis, "gaussian", sigma_fixed=1.0, family_hyper_fixed=1.0)
+    z = np.random.default_rng(seed).standard_normal((num_samples, model.n_coef))
+    z[:, : basis.size] /= np.sqrt(ks.spacings)
+    return inference.PosteriorFit(
+        model=model, theta_points=np.zeros((1, 0)), weights=np.ones(1), approxes=[],
+        log_marginal=0.0, samples=z, sample_point_index=np.zeros(num_samples, dtype=int), seed=seed,
+    )
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("knot_set", [
+    build_equal_knots(-1.5, 2.5, 7),
+    KnotSet(0.5, 4.0, [0.9, 1.3, 2.2, 3.1]),  # the last cell (3.1, 4.0] holds no knot
+], ids=["equal", "short_of_end"])
+def test_posterior_paths_match_the_dense_design(order, knot_set):
+    """Paths from the per-cell Taylor states agree with the truncated-power
+    and monomial designs at every knot, at both region ends and inside the
+    cells.  Cells are right-closed, so s_0 lies in none, and g^(p)(s_0) is 0
+    as the design gives it."""
+    basis = OSplineBasis(order, knot_set)
+    fit = drawn_fit(basis, 50, seed=order)
+    inner = knot_set.lower_knots + 0.37 * knot_set.spacings
+    xs = np.concatenate(([knot_set.region_start], knot_set.knots, [knot_set.region_end], inner))
+    coefs = fit.samples[:, : basis.size + order]
+    for q in range(order + 1):
+        design = np.hstack([design_matrix(basis, xs, q).values, polynomial_design(xs, order, q)])
+        want = coefs @ design.T
+        got = posterior_function(fit, xs, q).samples
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), q
+    npt.assert_array_equal(posterior_function(fit, [knot_set.region_start], order).samples, 0.0)
+
+
+def test_posterior_function_xs_layouts():
+    """Unsorted, repeated, single and empty xs give the paths and summaries
+    of the same xs evaluated in sorted order."""
+    basis = OSplineBasis(3, build_equal_knots(0.0, 20.0, 40))
+    fit = drawn_fit(basis, 300, seed=7)
+    grid = np.linspace(0.0, 20.0, 101)  # knots, region ends and cell interiors
+    ref = posterior_function(fit, grid, 1)
+    scale = np.max(np.abs(ref.samples))
+    pick = np.random.default_rng(8).permutation(np.repeat(np.arange(grid.size), 3))
+    for at in (pick, pick[:1], pick[:0]):
+        got = posterior_function(fit, grid[at], 1)
+        assert got.samples.shape == (300, at.size)
+        assert np.max(np.abs(got.samples - ref.samples[:, at]), initial=0.0) <= 1e-15 * scale
+        for name in ("mean", "sd", "lower", "upper"):
+            npt.assert_allclose(getattr(got, name), getattr(ref, name)[at], rtol=0, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("k", [100, 1000])
+def test_posterior_paths_are_accurate_to_rounding(k):
+    """Against the same draws summed in extended precision, every derivative
+    order's paths stand within 1e-13 of their scale, at k = 100 and 1000.
+    Posterior draws of a smooth curve are the hard case: their states are
+    large against the path, so rounding carried from cell to cell shows
+    (uncompensated it reached 1.0e-13 at k = 1000 on these data)."""
+    basis = OSplineBasis(3, build_equal_knots(0.0, 20.0, k))
+    x = np.linspace(0.0, 20.0, 1000)
+    y = np.sqrt(3.0) * np.sin(x / 2.0) + np.random.default_rng(5).standard_normal(x.size)
+    model = build_model(x, y, basis, "gaussian", sigma_fixed=0.05, family_hyper_fixed=1.0)
+    fit = aghq_fit(model, num_quad=1, num_samples=40, seed=5)
+    xs = np.concatenate((np.linspace(0.0, 20.0, 61), basis.knot_set.knots[:: k // 20]))
+    for q in range(4):
+        want = curve_paths_longdouble(fit, xs, q)
+        got = posterior_function(fit, xs, q).samples
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-13, (q, float(err))
+
+
+def test_posterior_function_forms_no_path_matrix():
+    """Summaries come from blocks of paths: at n = 2e4 and 3000 samples the
+    call peaks far below the n x samples matrix, which is formed only when
+    ``samples`` is read, and is read once."""
+    import tracemalloc
+
+    basis = OSplineBasis(3, build_equal_knots(0.0, 20.0, 100))
+    fit = drawn_fit(basis, 3000, seed=11)
+    xs = np.random.default_rng(12).uniform(0.0, 20.0, 20_000)
+    tracemalloc.start()
+    try:
+        curve = posterior_function(fit, xs, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < xs.size * 3000 * 8 / 4
+    assert "samples" not in vars(curve)
+    small = posterior_function(fit, xs[:50], 1)
+    first = small.samples
+    assert small.samples is first
+    assert first.shape == (3000, 50)
+    lower, upper = np.quantile(first, [0.025, 0.975], axis=0, method="inverted_cdf")
+    npt.assert_array_equal(small.lower, lower)
+    npt.assert_array_equal(small.upper, upper)
 
 
 def small_od_model():
