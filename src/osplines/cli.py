@@ -125,6 +125,18 @@ def _psd_args(parser):
     )
 
 
+def _comma_list(text: str, flag: str, convert, count: int = 0) -> list:
+    """Non-empty items of a comma-separated flag value; bad items or counts are usage errors."""
+    try:
+        items = [convert(item) for item in text.split(",") if item.strip()]
+        if count and len(items) != count:
+            raise ValueError
+    except ValueError:
+        raise InvalidArgumentError(f"{flag} takes {count or 'a list of'} comma-separated "
+                                   f"{convert.__name__} values (got {text!r})") from None
+    return items
+
+
 def _sigma_prior_from_args(args, order: int) -> ExponentialPrior:
     if args.psd_h is None:
         raise InvalidArgumentError("a PSD prior needs --psd-h")
@@ -148,7 +160,7 @@ def cmd_fit(args) -> int:
         raise InvalidArgumentError(f"--order must lie in 1..{MAX_ORDER} (got {args.order})")
     if args.samples < 1:
         raise InvalidArgumentError(f"--samples must be at least 1 (got {args.samples})")
-    derivs = [int(q) for q in str(args.deriv).split(",") if q != ""]
+    derivs = _comma_list(args.deriv, "--deriv", int)
     if any(q < 0 or q >= args.order for q in derivs):
         raise InvalidArgumentError(
             f"--deriv orders must lie in 0..{args.order - 1} (got {derivs})"
@@ -157,8 +169,8 @@ def cmd_fit(args) -> int:
         raise InvalidArgumentError(f"--grid must be at least 1 (got {args.grid})")
 
     numeric = [args.x, args.y]
-    required = numeric + (args.fixed.split(",") if args.fixed else [])
-    table = DataTable.load(args.data, required=required, numeric=numeric)
+    fixed_cols = _comma_list(args.fixed or "", "--fixed", str)
+    table = DataTable.load(args.data, required=numeric + fixed_cols, numeric=numeric)
     x = table[args.x]
     y = table[args.y]
     family = args.family.replace("-", "_")
@@ -169,10 +181,9 @@ def cmd_fit(args) -> int:
         )
 
     fixed_design = fixed_names = None
-    if args.fixed:
-        cols = args.fixed.split(",")
+    if fixed_cols:
         blocks, fixed_names = [], []
-        for col in cols:
+        for col in fixed_cols:
             mat, names = sum_coded_design(table[col])
             blocks.append(mat)
             fixed_names += [f"{col}:{n}" for n in names]
@@ -279,8 +290,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_cov_compare(args) -> int:
-    a, b = (float(v) for v in args.region.split(","))
-    knot_counts = [int(k) for k in args.knots_list.split(",")]
+    a, b = _comma_list(args.region, "--region", float, count=2)
+    knot_counts = _comma_list(args.knots_list, "--knots-list", int)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

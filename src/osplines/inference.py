@@ -18,10 +18,10 @@ marginal (exact for the Gaussian family), adaptive Gauss-Hermite quadrature
 over the log-transformed hyperparameters, and posterior sampling from the
 resulting Gaussian mixture.  Hyperparameters live on the log scale
 internally with the exact Jacobian applied to their exponential priors.
-For the Gaussian family with the noise SD fixed, the negative Hessian is a
-pencil in 1/sigma^2, and :class:`GaussianPencil` diagonalizes it once per
-fit: each sigma then costs O(k) instead of a Newton solve, and draws and
-moments go through the shared eigenbasis (Wood 2011).
+Every Gaussian fit goes through :class:`GaussianPencil`, which
+diagonalizes the negative Hessian once per fit: each (sigma, kappa) then
+costs O(k) plus a rank-r correction off the start kappa instead of a Newton
+solve (Wood 2011).  Newton serves the count families.
 
 Fits record their seed; per-quadrature-point sampling streams are derived
 deterministically from the point index, so results do not depend on how the
@@ -76,9 +76,8 @@ class LatentModel:
     Poisson family treats the overdispersion SD the same way.  A scalar prior
     SD is broadcast over its block.  Instances are frozen and hold read-only
     copies of their arrays, so what is derived from the data at construction
-    (the stacked ``design``, which the blocks view, the likelihood constant
-    and, for the Gaussian family, the Gram matrix ``gram`` = design' design)
-    stays valid.
+    (the stacked ``design``, which the blocks view, and the likelihood
+    constant) stays valid.
 
     ``design`` is [Phi | P | V], n x ``n_coef``.  For the overdispersed
     Poisson family the latent vector ends in the n observation effects eps,
@@ -100,8 +99,6 @@ class LatentModel:
     family_hyper_fixed: Optional[float] = None
     basis: Optional[OSplineBasis] = None
     design: np.ndarray = field(init=False, repr=False)
-    # X'X for the Gaussian family, whose likelihood curvature is constant; else None
-    gram: Optional[np.ndarray] = field(init=False, repr=False)
     _lik_const: float = field(init=False, repr=False)
     # the theta layout: (slot in split_theta's pair, name, prior) per free hyperparameter
     _free_hypers: tuple = field(init=False, repr=False)
@@ -168,7 +165,6 @@ class LatentModel:
         if self.fixed_design is not None:
             put("fixed_design", design[:, k + p : k + p + blocks[2].shape[1]])
         gaussian = self.family == "gaussian"
-        put("gram", _readonly(design.T @ design) if gaussian else None)
         put("_lik_const", -0.5 * n * math.log(2.0 * math.pi) if gaussian
             else -float(np.sum(gammaln(self.response + 1.0))))
         slots = ((0, "log_sigma", self.sigma_prior),
@@ -352,10 +348,10 @@ class GaussianApprox:
     The coefficients a, the first ``n_coef`` entries of ``mode``, have the
     covariance B diag(1 / s) B' with B = ``cov_basis`` and s = ``cov_scale``:
     B = L^-T and s = 1 at a Newton mode, L L' the coefficients' marginal
-    precision (the Schur complement S for the overdispersed family), and
-    B = W and s = D at a :class:`GaussianPencil` point.  ``cov_basis`` and
-    ``precision`` are formed on first read by ``form_cov_basis`` and
-    ``form_precision``, ``chol`` from ``precision``, and each is kept; for
+    precision (the Schur complement S for the overdispersed family), and at
+    a :class:`GaussianPencil` point B = W, s = D or B = W D^-1/2 F, s = 1.
+    ``cov_basis`` and ``precision`` are formed on first read by their
+    ``form_*`` callables, ``chol`` from ``precision``, and each is kept; for
     the overdispersed family nothing (n + k)^2 is formed before that read.
     ``extremes``, the precision's smallest and largest eigenvalues, comes
     from ``form_extremes`` where one is set (the overdispersed family's
@@ -419,12 +415,8 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
     on the coordinates) is at most ``_NEWTON_TOL`` nats, raising
     :class:`IterationError` after ``_NEWTON_MAX_ITER`` iterations.  The
     linear predictor of the accepted point carries over to the next
-    gradient.  The Gaussian family's curvature is the constant 1/kappa^2, so
-    its Hessian scales the Gram matrix, O(k^2) rather than the O(n k^2) of
-    X' C X, and is factored once per call.  The gradient and the log joint
-    still go through the residuals y - X a at O(n k): expanding them through
-    X'X and X'y would cancel catastrophically when the response sits far
-    from zero.
+    gradient.  Gaussian fits go through :class:`GaussianPencil`; Newton
+    serves that family for direct calls and as the pencil's test reference.
 
     For the overdispersed Poisson family the latent vector is (a, eps) and H
     is the arrow matrix [[A, B], [B', D]] with A = X' C X + Q_a, B = X' C and
@@ -460,23 +452,17 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
         w = np.zeros(model.latent_dim)
         lj, eta = score(w)
 
-    chol = None
     iterations = 0
     while True:
         u, curv = _lik_grad_curv(model, eta, hyper)
         grad = X.T @ u - q_coef * w[:m]
-        if chol is None or model.gram is None:
-            if model.gram is not None:  # constant curvature: scale the Gram matrix
-                hess = model.gram * curv
-            elif overdispersed:  # eps eliminated: the Schur complement S
-                hess = (X.T * (curv / (1.0 + hyper**2 * curv))) @ X
-            else:
-                hess = (X.T * curv) @ X
-            hess[np.diag_indices_from(hess)] += q_coef
-            try:
-                chol = linalg.cho_factor(hess, lower=True)
-            except linalg.LinAlgError:
-                raise NumericError("indefinite negative Hessian during Newton iteration")
+        # for the overdispersed family eps is eliminated: H is the Schur complement S
+        hess = (X.T * (curv / (1.0 + hyper**2 * curv) if overdispersed else curv)) @ X
+        hess[np.diag_indices_from(hess)] += q_coef
+        try:
+            chol = linalg.cho_factor(hess, lower=True)
+        except linalg.LinAlgError:
+            raise NumericError("indefinite negative Hessian during Newton iteration")
         if overdispersed:  # the arrow system, solved through S
             grad_obs = u - qdiag[m:] * w[m:]
             d = curv + qdiag[m:]
@@ -542,85 +528,69 @@ def laplace_log_marginal(model: LatentModel, theta=(), approx=None) -> float:
     )
 
 
-def _gaussian_precision(model: LatentModel, sigma: float) -> np.ndarray:
-    """X'X / kappa^2 + diag(q) at ``sigma`` with kappa fixed, formed as
-    :func:`newton_mode` forms it."""
-    kappa = model.family_hyper_fixed
-    hess = model.gram * (1.0 / kappa**2)
-    hess[np.diag_indices_from(hess)] += model.prior_precision_diag(sigma, kappa)
+def _gaussian_precision(lik_hess: np.ndarray, ratio: float, qdiag: np.ndarray) -> np.ndarray:
+    """ratio * lik_hess + diag(q): the Gaussian family's negative Hessian."""
+    hess = lik_hess * ratio
+    hess[np.diag_indices_from(hess)] += qdiag
     return hess
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianPencil:
-    """The Gaussian family's exact posterior at every sigma, from one
+    """The Gaussian family's exact posterior at every (sigma, kappa), from one
     eigendecomposition.
 
-    With the noise SD kappa fixed and sigma free, the negative Hessian is the
-    pencil H(s) = A + s B in s = 1/sigma^2: B = diag(d, 0) is the spline
-    weights' prior precision at sigma = 1 and A = X'X / kappa^2 + P, with
-    P = diag(0, 1/tau^2) the polynomial and fixed-effect priors.
-    :meth:`from_model` factors C = A + B = L L' and eigendecomposes
-    L^-1 B L^-T = U diag(lam) U'.  With W = L^-T U, W' H(s) W = diag(D),
-    D = 1 + (s - 1) lam, so log det H(s) = log det C + sum log D (Wood 2011,
-    JRSSB 73(1)).  The log joint is quadratic in the latent vector, so the
-    Laplace step is exact (Rue, Martino & Chopin 2009): expanded about a
-    reference point w0, one Newton mode, the mode is w0 + W (z / D) and the
-    log joint there exceeds its value at w0 by sum(z^2 / D) / 2, where
-    z = e - s f, e = W'(X' r0 / kappa^2 - P w0), f = W' B w0 and
-    r0 = y - X w0.  The residual r0 is formed once, so nothing cancels when
-    the response sits far from zero.
+    The negative Hessian is H = u X'X + s B + P in s = 1/sigma^2 and
+    u = 1/kappa^2, with B = diag(d, 0) the spline prior at sigma = 1 and
+    P = diag(0, 1/tau^2) the polynomial and fixed-effect priors, of rank
+    r = p + n_fixed.  :meth:`from_model` factors C = H(1, kappa0) = L L',
+    kappa0 the start kappa, and eigendecomposes L^-1 B L^-T = U diag(lam) U'.
+    With W = L^-T U, u' = kappa0^2 / kappa^2 and M = W' P^1/2 (P's r nonzero
+    columns), W' H W = diag(D) + c M M' with D = u' + (s - u') lam and
+    c = 1 - u', so the determinant lemma and Woodbury give log det H and
+    solves at O(k r^2) (Wood 2011, JRSSB 73(1)).  The Laplace step is exact
+    (Rue, Martino & Chopin 2009): about a reference w0 the mode is
+    w0 + W (W' H W)^-1 z and the log joint gains z' (W' H W)^-1 z / 2 over
+    w0's, z = u' gx - s f - gp with gx = W' X' r0 / kappa0^2, f = W' B w0,
+    gp = W' P w0 and r0 = y - X w0 formed once, so nothing cancels when the
+    response sits far from zero; w0 is the mode at the start theta, reached
+    by two pencil steps with no stopping rule.  L = L1 L2: L1 factors C as
+    formed from the floating-point X'X, L2 factors L1^-1 C L1^-T with X'X
+    taken through X itself, so W diagonalizes H to rounding at every s.
 
-    L comes in two factors.  The Cholesky factor L1 of C as formed from the
-    floating-point X'X carries that matrix's rounding, which is large against
-    H(s) where s is small, so W built from it diagonalizes H(s) only roughly
-    and sum(z^2 / D) inherits the error at first order.  In L1's coordinates
-    C is the identity up to that rounding, and the pencil, with A taken
-    through X itself, is well scaled there: L2 factors L1^-1 C L1^-T so
-    formed, L = L1 L2, and the eigendecomposition is taken in those
-    coordinates.  W then diagonalizes H(s) to rounding at every s.
-
-    Set-up costs one Newton solve and O(n k^2 + k^3) of dense algebra, once
-    per fit; :meth:`log_post` then costs O(k) per theta and O(k^2) for the
-    mode.  Its approximation's covariance basis is ``W``, the same array at
-    every sigma, and its scale is D, so the coefficient covariance is
-    W diag(1/D) W'; the precision (O(k^2)) and its factor are formed only
-    when read.  The mode is exact rather than iterated to, so the
-    approximation reports zero Newton iterations and a predicted gain of 0.
+    :meth:`log_post` costs O(k) at kappa = kappa0 (c = 0 exactly, as at
+    every point when kappa is fixed), O(k r^2) elsewhere, and O(k^2) for
+    the mode, after O(n k^2 + k^3) of set-up.  At c = 0 the covariance basis
+    is the ``W`` every such point shares, with scale D; elsewhere it is
+    W D^-1/2 F with scale 1, F = (I + c N N')^-1/2, N = D^-1/2 M, formed on
+    first read at O(k^2 r), and the precision u' ``lik_hess`` + diag(q) on
+    read.  The mode is exact: zero Newton iterations, predicted gain 0.
     """
 
     model: LatentModel
     ref: np.ndarray  # w0
     W: np.ndarray
     lam: np.ndarray
-    e: np.ndarray
+    M: np.ndarray
+    gx: np.ndarray
     f: np.ndarray
+    gp: np.ndarray
+    kappa0: float
     log_det_c: float
-    ref_log_lik: float
-
-    @staticmethod
-    def applies(model: LatentModel) -> bool:
-        """Gaussian family, noise SD fixed, sigma on the quadrature grid."""
-        return (model.family == "gaussian" and model.family_hyper_fixed is not None
-                and model.sigma_prior is not None)
+    rss: float  # ||r0||^2
 
     @classmethod
     def from_model(cls, model: LatentModel) -> "GaussianPencil":
-        """Set up from the Newton mode at ``model.theta_start()``, whose
-        failures (:class:`NumericError`, :class:`IterationError`) propagate."""
-        _require(cls.applies(model),
-                 "the pencil needs a Gaussian model with kappa fixed and sigma free")
-        ref = newton_mode(model, model.theta_start()).mode
-        kappa = model.family_hyper_fixed
-        k = model.n_spline
-        b = model.prior_precision_diag(1.0, kappa)  # (d, 1/tau^2): the diagonal of B + P
-        spline = np.zeros_like(b)  # the diagonal of B
-        spline[:k] = b[:k]
+        """Set up at ``model.theta_start()``; a C not positive definite raises NumericError."""
+        _require(model.family == "gaussian", "the pencil needs a Gaussian model")
+        X, y, k = model.design, model.response, model.n_spline
+        sigma0, kappa0 = model.split_theta(model.theta_start())
+        b = model.prior_precision_diag(1.0, kappa0)  # (d, 1/tau^2): the diagonal of B + P
         try:
-            chol1 = linalg.cholesky(_gaussian_precision(model, 1.0), lower=True)  # C = H(1)
+            chol1 = linalg.cholesky(_gaussian_precision(X.T @ X, 1.0 / kappa0**2, b), lower=True)
             V = _lower_inverse(chol1).T  # L1^-T
-            xv = model.design @ V  # V'AV through X, and V'BV
-            va = xv.T @ xv / kappa**2 + V[k:].T @ (b[k:, None] * V[k:])
+            xv = X @ V  # V'(C - B)V through X, and V'BV
+            va = xv.T @ xv / kappa0**2 + V[k:].T @ (b[k:, None] * V[k:])
             vb = V[:k].T @ (b[:k, None] * V[:k])
             chol2 = linalg.cholesky(va + vb, lower=True)
         except linalg.LinAlgError:
@@ -628,31 +598,66 @@ class GaussianPencil:
         inv2 = _lower_inverse(chol2)
         lam, U = np.linalg.eigh(inv2 @ vb @ inv2.T)
         W = V @ (inv2.T @ U)
-        eta = model.design @ ref
-        grad = model.design.T @ (model.response - eta) / kappa**2 - (b - spline) * ref
+        q0, s0 = model.prior_precision_diag(sigma0, kappa0), sigma0**-2
+        ref = np.zeros_like(b)
+        # step 1 lands within W's rounding of the mode, step 2 at the residuals' floor
+        for _ in range(2):
+            grad = X.T @ (y - X @ ref) / kappa0**2 - q0 * ref
+            ref = ref + W @ ((W.T @ grad) / (1.0 + (s0 - 1.0) * lam))
+        resid, bw = y - X @ ref, b * ref
         return cls(
-            model=model, ref=ref, W=W, lam=lam, e=W.T @ grad, f=W.T @ (spline * ref),
+            model=model, ref=ref, W=W, lam=lam, M=W[k:].T * np.sqrt(b[k:]),
+            gx=W.T @ (X.T @ resid) / kappa0**2, f=W[:k].T @ bw[:k], gp=W[k:].T @ bw[k:],
+            kappa0=kappa0,
             log_det_c=2.0 * float(np.sum(np.log(np.diag(chol1))) + np.sum(np.log(np.diag(chol2)))),
-            ref_log_lik=_log_lik(model, eta, kappa),
+            rss=float(resid @ resid),
         )
 
     def log_post(self, theta) -> tuple[float, GaussianApprox]:
-        """Laplace log marginal (exact here) at ``theta`` and its approximation, O(k)."""
-        sigma, kappa = self.model.split_theta(theta)
-        s = sigma**-2
-        scale = 1.0 + (s - 1.0) * self.lam  # D
-        z = self.e - s * self.f
-        lj = (_log_prior(self.ref, self.model.prior_precision_diag(sigma, kappa))
-              + self.ref_log_lik + self.model.log_hyperprior(theta)
-              + 0.5 * float(np.sum(z * z / scale)))
+        """Laplace log marginal (exact here) at ``theta`` and its approximation."""
+        model = self.model
+        sigma, kappa = model.split_theta(theta)
+        qdiag = model.prior_precision_diag(sigma, kappa)
+        s, ratio = sigma**-2, (self.kappa0 / kappa) ** 2  # u'
+        c = 1.0 - ratio
+        scale = ratio + (s - ratio) * self.lam  # D
+        z = ratio * self.gx - s * self.f - self.gp
+        step = z / scale
+        log_det = self.log_det_c + float(np.sum(np.log(scale)))
+        form_cov_basis, cov_scale = partial(np.asarray, self.W), scale
+        if c != 0.0:  # the rank-r correction c M M'
+            dm = self.M / scale[:, None]
+            mu, V = np.linalg.eigh(self.M.T @ dm)  # N'N = M' D^-1 M
+            shrink = 1.0 + c * mu
+            if not np.all(shrink > 0):
+                raise NumericError("Gaussian posterior precision is not positive definite")
+            dmv = dm @ V
+            step -= c * (dmv @ ((dmv.T @ z) / shrink))
+            log_shrink = np.log1p(c * mu)
+            log_det += float(np.sum(log_shrink))
+            coef = np.expm1(-0.5 * log_shrink) / mu  # ((1 + c mu)^-1/2 - 1) / mu
+            form_cov_basis = partial(self._cov_basis, scale, dmv, coef)
+            cov_scale = np.ones_like(scale)
+        lj = (_log_prior(self.ref, qdiag)
+              - 0.5 * self.rss / kappa**2 - model.n_obs * math.log(kappa) + model._lik_const
+              + model.log_hyperprior(theta) + 0.5 * float(z @ step))
         approx = GaussianApprox(
-            mode=self.ref + self.W @ (z / scale),
-            log_det=self.log_det_c + float(np.sum(np.log(scale))),
-            log_joint_at_mode=lj, predicted_gain=0.0, iterations=0, cov_scale=scale,
-            form_cov_basis=partial(np.asarray, self.W),  # the one W every sigma shares
-            form_precision=partial(_gaussian_precision, self.model, sigma),
+            mode=self.ref + self.W @ step, log_det=log_det,
+            log_joint_at_mode=lj, predicted_gain=0.0, iterations=0, cov_scale=cov_scale,
+            form_cov_basis=form_cov_basis,
+            form_precision=lambda: _gaussian_precision(self.lik_hess, ratio, qdiag),
         )
-        return laplace_log_marginal(self.model, theta, approx=approx), approx
+        return laplace_log_marginal(model, theta, approx=approx), approx
+
+    @cached_property
+    def lik_hess(self) -> np.ndarray:
+        """X'X / kappa0^2 formed as newton_mode forms it, on first read: Newton's bits at kappa0."""
+        return (self.model.design.T * (1.0 / self.kappa0**2)) @ self.model.design
+
+    def _cov_basis(self, scale, dmv, coef) -> np.ndarray:
+        """W D^-1/2 F with F = I + N V diag(coef) V' N', N V = D^1/2 (D^-1 M) V."""
+        wd, nv = self.W / np.sqrt(scale), dmv * np.sqrt(scale)[:, None]
+        return wd + ((wd @ nv) * coef) @ nv.T
 
 
 # ---------------------------------------------------------------------------
@@ -703,17 +708,16 @@ def aghq_fit(
     a (the first ``model.n_coef`` latent entries; the observation effects of
     the overdispersed family are not drawn) are allocated to grid points
     proportionally to their weights; a grid point draws mode + B s^-1/2 z
-    from its ``cov_basis`` B and ``cov_scale`` s, whatever the family.  A
-    Gaussian model with the noise SD fixed and sigma free is evaluated
-    through a :class:`GaussianPencil` (one Newton solve per fit); every
-    other model through one warm-started Newton solve per hyperparameter
-    value.
+    from its ``cov_basis`` B and ``cov_scale`` s, whatever the family.
+    Gaussian models go through one :class:`GaussianPencil` and no Newton
+    solve; the count families through one warm-started Newton solve per
+    hyperparameter value.
     """
     _require(num_quad >= 1, "num_quad must be >= 1")
     _require(num_samples >= 0, "num_samples must be >= 0")
     _require(len(model.theta_names) <= 2, "at most two free hyperparameters are supported")
 
-    if GaussianPencil.applies(model):
+    if model.family == "gaussian":
         log_post = GaussianPencil.from_model(model).log_post
     else:
         warm = None
@@ -973,31 +977,36 @@ def posterior_function(
     )
 
 
+_MOMENT_ROWS = 1024  # xs per block of posterior_moments: O(k) floats per x of a block
+
+
 def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean/SD of g^(q) under the fitted Gaussian mixture (no sampling).
 
     A grid point's variances are (design B)^2 / s, with B its ``cov_basis``
-    and s its ``cov_scale``.  design x B is formed once per distinct basis,
-    so a fit from one :class:`GaussianPencil`, whose points share W, pays one
-    O(len(xs) k^2) product per call and O(len(xs) k) per point; a Newton fit
-    pays the product at every point.
+    and s its ``cov_scale``.  design x B is formed once per distinct basis:
+    :class:`GaussianPencil` points share W only at the pencil's kappa0, so a
+    fit with kappa fixed pays one O(len(xs) k^2) product per call and
+    O(len(xs) k) per point; other fits pay it at every point, in blocks.
     """
     _require_order(fit, q)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    design = _curve_design(fit, xs, q)
-    m = fit.model.n_coef
-    full = np.zeros((xs.size, m))
-    full[:, : design.shape[1]] = design
-    mus = full @ np.column_stack([approx.mode[:m] for approx in fit.approxes])
-    squares = {}  # id(basis) -> (full @ basis)^2; each basis stays alive in its approx
-    var = np.empty_like(mus)
-    for j, approx in enumerate(fit.approxes):
-        basis = approx.cov_basis
-        if id(basis) not in squares:
-            squares[id(basis)] = (full @ basis) ** 2
-        var[:, j] = squares[id(basis)] @ (1.0 / approx.cov_scale)
-    mean = mus @ fit.weights
-    sd = np.sqrt(np.maximum((var + mus**2) @ fit.weights - mean**2, 0.0))
+    mean, sd = np.empty(xs.size), np.empty(xs.size)
+    for start in range(0, xs.size, _MOMENT_ROWS):
+        at = slice(start, start + _MOMENT_ROWS)
+        design = _curve_design(fit, xs[at], q)
+        d = design.shape[1]  # the coefficients a curve reads; fixed effects come after
+        mus = design @ np.column_stack([approx.mode[:d] for approx in fit.approxes])
+        squares = {}  # id(basis) -> (design B)^2; each basis stays alive in its approx
+        var = np.empty_like(mus)
+        for j, approx in enumerate(fit.approxes):
+            basis = approx.cov_basis
+            if id(basis) not in squares:
+                prod = design @ basis[:d]
+                squares[id(basis)] = np.square(prod, out=prod)
+            var[:, j] = squares[id(basis)] @ (1.0 / approx.cov_scale)
+        mean[at] = mus @ fit.weights
+        sd[at] = np.sqrt(np.maximum((var + mus**2) @ fit.weights - mean[at] ** 2, 0.0))
     return mean, sd
 
 

@@ -7,10 +7,11 @@ joint densities are re-summed scalar by scalar, and marginal
 likelihoods are integrated with dense quadrature over the full latent space.
 The dense exact-process posterior is conditioned point by point and order by
 order, as the comparator once did, so its consolidated path has a reference.
-The Gaussian mode is solved from a likelihood Hessian assembled from the
-design itself rather than from the model's Gram matrix, and the Gaussian
-marginal is also solved in 50-digit arithmetic, where neither the Newton nor
-the spectral path's rounding reaches.  The overdispersed
+The Gaussian mode is solved from a Jacobi-scaled likelihood Hessian
+assembled from the design's rows, a fit is rebuilt from Newton solves at its
+own grid points, and the Gaussian marginal is also solved in 50-digit
+arithmetic, where neither the Newton nor the spectral path's rounding
+reaches.  The overdispersed
 family's observation effects, which the library eliminates by Schur
 complement, are written out here as an explicit identity block of the
 design, and its Newton mode is found by the dense loop over that design
@@ -25,6 +26,7 @@ covariances are integrated repeatedly by adaptive quadrature, as references
 for the closed-form basis and kernels.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -420,6 +422,24 @@ def newton_predicted_gain(model: LatentModel, mode, theta=()) -> float:
     grad = X.T @ dlik - model.prior_precision_diag(sigma, hyper) * mode
     H, _, _ = laplace_terms_in_original_coordinates(model, mode, theta)
     return 0.5 * float(grad @ np.linalg.solve(H, grad))
+
+
+def newton_oracle(fit, grid):
+    """The fit rebuilt from ``newton_mode`` at its own grid points: values,
+    approximations, weights (with the grid's own adjustment) and the fit."""
+    values, approxes = [], []
+    for theta in fit.theta_points:
+        ref = newton_mode(fit.model, theta)
+        values.append(inference.laplace_log_marginal(fit.model, theta, ref))
+        approxes.append(ref)
+    values = np.array(values)
+    return values, dataclasses.replace(fit, approxes=approxes, weights=grid_weights(values, grid))
+
+
+def grid_weights(values, grid) -> np.ndarray:
+    """Normalized weights of log posterior ``values`` at ``grid``'s points."""
+    log_unnorm = values + grid.log_adjust
+    return np.exp(log_unnorm - logsumexp(log_unnorm))
 
 
 def gaussian_mode_dense(model: LatentModel, theta=()):

@@ -189,7 +189,8 @@ def test_fit_bad_csv_exits_3_naming_file_row_and_column(tmp_path, capsys, text, 
 
 
 def test_fit_numeric_failure_exits_4(tmp_path, capsys):
-    # noise far below double precision's reach for Newton's stopping rule
+    # noise SD 1e-9 against unit scatter: the log marginal is so large that a
+    # double no longer resolves its change with sigma, and the search stalls
     data = tmp_path / "data.csv"
     write_gaussian_csv(data, n=40)
     rc = main([
@@ -267,6 +268,63 @@ def test_fit_usage_errors_exit_2_before_any_work(tmp_path, capsys, monkeypatch, 
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("fit", "--deriv", "a"),
+    ("fit", "--deriv", "0;1"),
+    ("cov-compare", "--knots-list", "a"),
+    ("cov-compare", "--region", "1"),
+    ("cov-compare", "--region", "0,x"),
+])
+def test_malformed_comma_lists_exit_2(tmp_path, capsys, command, flag, value):
+    """A comma-separated flag that does not parse is a usage error, named,
+    before any output directory is made."""
+    data = tmp_path / "data.csv"
+    write_gaussian_csv(data, n=10)
+    out = tmp_path / "o"
+    if command == "fit":
+        argv = ["fit", "--data", str(data), "--x", "x", "--y", "y", "--family", "gaussian",
+                "--order", "2", "--knots", "5", "--psd-h", "1", "--psd-median", "1",
+                "--noise-sd", "1"]
+    else:
+        argv = ["cov-compare", "--order", "2", "--knots-list", "5"]
+    rc = main(argv + [flag, value, "--out", str(out)])
+    assert rc == 2
+    assert f"error: {flag} takes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_with_the_noise_sd_free_goes_through_the_pencil(tmp_path, monkeypatch):
+    """The CLI's default Gaussian fit (no --noise-sd: kappa on the grid)
+    makes no Newton call, and the weights it writes are the Newton oracle's
+    at the same grid points to 1e-8."""
+    from oracles import newton_oracle
+    from osplines import cli, inference
+
+    calls, fits, grids = [], [], []
+    newton, adapt = inference.newton_mode, inference.adapt_quadrature
+    monkeypatch.setattr(inference, "newton_mode",
+                        lambda *a, **k: calls.append(a) or newton(*a, **k))
+    monkeypatch.setattr(inference, "adapt_quadrature",
+                        lambda *a: grids.append(adapt(*a)) or grids[-1])
+    monkeypatch.setattr(cli, "aghq_fit", lambda *a, **k: fits.append(aghq_fit(*a, **k)) or fits[-1])
+    data = tmp_path / "data.csv"
+    write_gaussian_csv(data, n=60)
+    out = tmp_path / "out"
+    rc = main([
+        "fit", "--data", str(data), "--x", "x", "--y", "y",
+        "--family", "gaussian", "--order", "3", "--knots", "15",
+        "--psd-h", "5", "--psd-u", "3", "--psd-alpha", "0.01",
+        "--quad", "5", "--samples", "200", "--seed", "2", "--out", str(out),
+    ])
+    assert rc == 0
+    assert calls == []
+    rows = read_csv(out / "hyperparameters.csv")
+    assert "kappa" in rows[0] and len(rows) == 25
+    _, ref = newton_oracle(fits[0], grids[0])
+    weights = np.array([float(r["weight"]) for r in rows])
+    np.testing.assert_allclose(weights, ref.weights, rtol=1e-8, atol=1e-14)
 
 
 def test_fit_is_deterministic_given_seed(tmp_path):

@@ -1,6 +1,8 @@
 """The Gaussian family's spectral evaluator (``GaussianPencil``) against the
 Newton path it replaces inside ``aghq_fit``, and both against independent
-oracles: the dense-assembly solve and the marginal in 50-digit arithmetic."""
+oracles: the dense-assembly solve and the marginal in 50-digit arithmetic.
+Each model runs with the noise SD kappa fixed and, through
+:func:`kappa_free`, on the quadrature grid."""
 
 import dataclasses
 import math
@@ -8,12 +10,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.special import logsumexp
 
 from osplines import (
     ExponentialPrior,
     GaussianApprox,
     GaussianPencil,
+    InvalidArgumentError,
+    IterationError,
     OSplineBasis,
     PSDSpec,
     aghq_fit,
@@ -30,9 +33,11 @@ from osplines import (
     sum_coded_design,
 )
 from osplines import inference
-from oracles import gaussian_log_marginal_mp, gaussian_mode_dense
+from oracles import gaussian_log_marginal_mp, gaussian_mode_dense, grid_weights, newton_oracle
 
 LOG_SIGMAS = (-3.0, -1.0, 0.0, 1.0, 2.5)
+# log kappa less its prior median's log: c = 1 - kappa0^2 / kappa^2 from -19 to 0.95
+KAPPA_SHIFTS = (-1.5, -0.5, 0.0, 0.5, 1.5)
 
 
 def gmm_shape_model(order=3):
@@ -49,8 +54,8 @@ def gmm_shape_model(order=3):
     )
 
 
-def sine_model(n=400, k=20, offset=0.0, fixed=False):
-    """Noisy sine on (0, 20), noise SD 1 fixed, sigma on the quadrature grid."""
+def sine_model(n=400, k=20, offset=0.0, fixed=False, kappa=1.0, poly_sd=math.sqrt(1000.0)):
+    """Noisy sine on (0, 20), noise SD 1, kappa fixed, sigma on the quadrature grid."""
     rng = np.random.default_rng(7)
     xs = np.sort(rng.uniform(0.0, 20.0, n))
     ys = offset + math.sqrt(3.0) * np.sin(xs / 2.0) + rng.normal(0.0, 1.0, n)
@@ -59,9 +64,29 @@ def sine_model(n=400, k=20, offset=0.0, fixed=False):
         kwargs.update(fixed_design=sum_coded_design(np.arange(n) % 3)[0], fixed_prior_sd=2.0)
     return build_model(
         xs, ys, OSplineBasis(3, build_equal_knots(0.0, 20.0, k)), "gaussian",
-        family_hyper_fixed=1.0, poly_prior_sd=math.sqrt(1000.0),
+        family_hyper_fixed=kappa, poly_prior_sd=poly_sd,
         sigma_prior=prior_from_psd(PSDSpec(h=5.0, order=3), 3.0, 0.01), **kwargs,
     )
+
+
+def kappa_free(model):
+    """``model`` with kappa on the quadrature grid, its prior median the fixed value."""
+    return dataclasses.replace(
+        model, family_hyper_fixed=None,
+        family_hyper_prior=ExponentialPrior(math.log(2.0) / model.family_hyper_fixed))
+
+
+def sigma_fixed(model):
+    """``model`` with sigma fixed at its prior median."""
+    return dataclasses.replace(model, sigma_prior=None, sigma_fixed=model.sigma_prior.median)
+
+
+def grid_thetas(model):
+    """The log sigma values, crossed with the kappa shifts when kappa is free."""
+    if model.family_hyper_prior is None:
+        return [[s] for s in LOG_SIGMAS]
+    log_kappa0 = math.log(model.family_hyper_prior.median)
+    return [[s, log_kappa0 + d] for s in LOG_SIGMAS for d in KAPPA_SHIFTS]
 
 
 MODELS = {
@@ -71,6 +96,15 @@ MODELS = {
 }
 
 
+def model_for(name):
+    """A model of :data:`MODELS` by name; the suffixes ", sigma fixed" and
+    ", kappa free" mark the variants."""
+    base, *variants = name.split(", ")
+    model = MODELS[base]()
+    model = sigma_fixed(model) if "sigma fixed" in variants else model
+    return kappa_free(model) if "kappa free" in variants else model
+
+
 def energy_error(mode, ref):
     """||L'(mode - ref)|| / ||L' ref|| with H = L L' at ``ref``: the mode's
     error in the posterior's own scale."""
@@ -78,10 +112,12 @@ def energy_error(mode, ref):
                  / np.linalg.norm(ref.chol.T @ ref.mode))
 
 
-@pytest.mark.parametrize("name", list(MODELS))
+@pytest.mark.parametrize("name", list(MODELS) + [f"{name}, kappa free" for name in MODELS])
 def test_pencil_matches_newton_at_fixed_theta(name):
     """Log marginal, log-determinant and mode agree with ``newton_mode`` +
-    ``laplace_log_marginal`` to 1e-8 at log sigma from -3 to 2.5.
+    ``laplace_log_marginal`` to 1e-8 at log sigma from -3 to 2.5, and with
+    kappa free on the 5 x 5 grid that crosses them with log kappa from
+    1.5 below its prior median's log to 1.5 above.
 
     The mode is compared in the posterior's own norm.  Compared entrywise,
     the two modes differ by up to 3e-8 of the largest entry where H(s) is
@@ -93,35 +129,80 @@ def test_pencil_matches_newton_at_fixed_theta(name):
     ``gaussian_marginal_exact`` is no referee here: on the mixture-study
     shape it stands 1.5e-7 from both paths, its covariance being the worse
     conditioned; ``test_pencil_and_newton_against_a_50_digit_solve`` settles
-    which path is right.)"""
-    model = MODELS[name]()
+    which path is right.)
+
+    With kappa free, Newton's log-determinant carries the rounding of its
+    floating-point X'X where H is worst conditioned: at log sigma 2.5 and
+    log kappa -1.5 on n1e4 (cond ~7e12) it stands 3.5e-5 (1.4e-7 of
+    itself) from one taken in extended precision, where the pencil's is
+    within 5e-8.  There the log-determinants are compared on the scale of
+    the log marginal they enter."""
+    model = model_for(name)
+    kappa_fixed = model.family_hyper_prior is None
     pencil = GaussianPencil.from_model(model)
-    for log_sigma in LOG_SIGMAS:
-        theta = [log_sigma]
+    for theta in grid_thetas(model):
         value, approx = pencil.log_post(theta)
         ref = newton_mode(model, theta)
         assert value == pytest.approx(laplace_log_marginal(model, theta, ref), rel=1e-8)
         assert laplace_log_marginal(model, theta, approx) == value
-        assert approx.log_det == pytest.approx(ref.log_det, rel=1e-8)
+        assert approx.log_det == pytest.approx(
+            ref.log_det, rel=1e-8, abs=0.0 if kappa_fixed else 1e-8 * abs(value))
         assert energy_error(approx.mode, ref) <= 1e-8
         assert value == pytest.approx(gaussian_mode_dense(model, theta)[1], rel=1e-8)
 
 
-@pytest.mark.parametrize("offset", [0.0, 1e6])
-def test_pencil_and_newton_against_a_50_digit_solve(offset):
+@pytest.mark.parametrize("offset, kappa", [
+    pytest.param(0.0, "fixed", id="0.0"), pytest.param(1e6, "fixed", id="1000000.0"),
+    pytest.param(0.0, "free", id="0.0, kappa free"),
+    pytest.param(1e6, "free", id="1000000.0, kappa free")])
+def test_pencil_and_newton_against_a_50_digit_solve(offset, kappa):
     """A referee for the response far from zero, n = 40, k = 10: both paths
     against the marginal solved in 50-digit arithmetic.  The spectral value
     is within a few roundings of it (5e-16 measured); Newton's is within
-    1e-11 (1.2e-12 measured at offset 0, one rounding at 1e6)."""
+    1e-11 (1.2e-12 measured at offset 0, one rounding at 1e6).
+
+    With kappa free on the 5 x 5 grid the spectral value stands up to
+    1e-14 from it at offset 0 (9.7e-15 measured, at log kappa -1.5): it is
+    expanded about a reference at the prior median's kappa, and its gain
+    over that reference grows with the distance.  Newton, which solves at
+    each point, can be the closer path there."""
     model = sine_model(n=40, k=10, offset=offset)
+    if kappa == "free":
+        model = kappa_free(model)
     pencil = GaussianPencil.from_model(model)
-    for log_sigma in LOG_SIGMAS:
-        truth = gaussian_log_marginal_mp(model, [log_sigma])
-        spectral = abs(pencil.log_post([log_sigma])[0] - truth) / abs(truth)
-        newton = abs(laplace_log_marginal(model, [log_sigma]) - truth) / abs(truth)
+    for theta in grid_thetas(model):
+        truth = gaussian_log_marginal_mp(model, theta)
+        spectral = abs(pencil.log_post(theta)[0] - truth) / abs(truth)
+        newton = abs(laplace_log_marginal(model, theta) - truth) / abs(truth)
         assert spectral <= 1e-14
         assert newton <= 1e-11
-        assert spectral <= newton + 1e-15
+        if kappa == "fixed":
+            assert spectral <= newton + 1e-15
+
+
+@pytest.mark.parametrize("kappa", [1e-1, 1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_pencil_has_no_stopping_rule_to_stall(offset, kappa):
+    """n = 40, k = 10, poly SD 1e7, unit noise fitted with kappa from 1e-1 to
+    1e-7 and the response offset by up to 1e6.  Newton's absolute stop at
+    1e-14 nats lies below the rounding of its gradient, eps |y| / kappa^2,
+    on five of these twelve, and the pencil's set-up once ran it.  It now
+    sets up on all twelve, within 1e-10 of the 50-digit marginal at log
+    sigma -3, 0 and 2.5 (7e-11 measured), and fits wherever the log
+    posterior resolves log sigma.  At kappa = 1e-7 it does not: the log
+    marginal is -1.2e15, where a double resolves 0.125 nats, and it changes
+    by ~0.004 nats across the search's finite-difference step, so the
+    search stalls, loudly."""
+    model = sine_model(n=40, k=10, offset=offset, kappa=kappa, poly_sd=1e7)
+    pencil = GaussianPencil.from_model(model)
+    for log_sigma in (-3.0, 0.0, 2.5):
+        truth = gaussian_log_marginal_mp(model, [log_sigma])
+        assert pencil.log_post([log_sigma])[0] == pytest.approx(truth, rel=1e-10)
+    if kappa > 1e-7:
+        assert np.isfinite(aghq_fit(model, num_quad=5, num_samples=0).log_marginal)
+    else:
+        with pytest.raises(IterationError, match="hyperparameter search stalled"):
+            aghq_fit(model, num_quad=5, num_samples=0)
 
 
 def test_pencil_is_the_closer_path_where_the_gram_is_singular():
@@ -136,22 +217,26 @@ def test_pencil_is_the_closer_path_where_the_gram_is_singular():
     assert laplace_log_marginal(model, [2.5]) == pytest.approx(truth, rel=1e-8)
 
 
-def test_pencil_applies_to_gaussian_models_with_kappa_fixed_and_sigma_free():
-    xs = np.linspace(0.0, 1.0, 12)
-    basis = OSplineBasis(2, build_equal_knots(0.0, 1.0, 4))
-    prior = ExponentialPrior(1.0)
-
-    def model(family="gaussian", **kwargs):
-        return build_model(xs, np.sin(xs), basis, family, **kwargs)
-
-    assert GaussianPencil.applies(model(sigma_prior=prior, family_hyper_fixed=0.3))
-    assert not GaussianPencil.applies(model(sigma_fixed=1.0, family_hyper_fixed=0.3))
-    assert not GaussianPencil.applies(model(sigma_prior=prior, family_hyper_prior=prior))
-    assert not GaussianPencil.applies(model("poisson", sigma_prior=prior))
+@pytest.mark.parametrize("sigma, kappa", [
+    pytest.param(sigma, kappa, id=f"sigma {sigma}, kappa {kappa}")
+    for sigma in ("free", "fixed") for kappa in ("fixed", "free")])
+def test_no_gaussian_fit_calls_newton_mode(monkeypatch, sigma, kappa):
+    """Every Gaussian model, sigma and kappa each free or fixed, is fitted
+    through the pencil alone, which takes no other family."""
+    monkeypatch.setattr(inference, "newton_mode", lambda *a, **k: pytest.fail("Newton ran"))
+    model = sine_model(n=60, k=8)
+    model = sigma_fixed(model) if sigma == "fixed" else model
+    model = kappa_free(model) if kappa == "free" else model
+    fit = aghq_fit(model, num_quad=3, num_samples=50, seed=1)
+    assert fit.weights.size == 3 ** len(model.theta_names)
+    counts = build_model(np.linspace(0.0, 20.0, 60), np.ones(60), model.basis, "poisson",
+                         sigma_prior=ExponentialPrior(1.0))
+    with pytest.raises(InvalidArgumentError):
+        GaussianPencil.from_model(counts)
 
 
 def test_gaussian_fit_solves_once_and_factors_nothing_per_grid_point(monkeypatch):
-    """One Newton call and two Cholesky factors (the set-up's) whatever the
+    """No Newton call and two Cholesky factors (the set-up's) whatever the
     grid size; no triangular solve for draws or moments, and no precision
     formed until one is read."""
     calls = []
@@ -168,41 +253,39 @@ def test_gaussian_fit_solves_once_and_factors_nothing_per_grid_point(monkeypatch
     for q in (0, 1, 2):
         posterior_moments(fit, xs, q)
     posterior_function(fit, xs, 1)
-    assert sorted(calls) == ["cho_factor", "cholesky", "cholesky", "newton"]
+    assert sorted(calls) == ["cholesky", "cholesky"]
     assert all("precision" not in a.__dict__ and "chol" not in a.__dict__ for a in fit.approxes)
 
 
-def newton_oracle(fit, grid):
-    """The fit rebuilt from ``newton_mode`` at its own grid points: values,
-    approximations, weights (with the grid's own adjustment) and the fit."""
-    values, approxes = [], []
-    for theta in fit.theta_points:
-        ref = newton_mode(fit.model, theta)
-        values.append(laplace_log_marginal(fit.model, theta, ref))
-        approxes.append(ref)
-    values = np.array(values)
-    log_unnorm = values + grid.log_adjust
-    weights = np.exp(log_unnorm - logsumexp(log_unnorm))
-    return values, dataclasses.replace(fit, approxes=approxes, weights=weights)
-
-
-@pytest.mark.parametrize("name", ["gmm_shape", "sine_fixed_effects"])
+@pytest.mark.parametrize("name", [
+    f"{name}{variant}" for variant in ("", ", kappa free", ", sigma fixed, kappa free")
+    for name in ("gmm_shape", "sine_fixed_effects")])
 def test_fit_matches_the_newton_oracle_at_its_grid_points(monkeypatch, name):
     """At the fit's own grid points (the oracle's own search would place its
     points elsewhere: the stencil turns 1e-11 differences in value into
     larger shifts of the grid), log posterior values, modes, weights and
-    the moments of g, g' and g'' agree with the Newton path to 1e-8."""
+    the moments of g, g' and g'' agree with the Newton path to 1e-8; with
+    kappa free on a 10 x 10 grid, and on kappa's grid alone with sigma
+    fixed.
+
+    Where H is worst conditioned Newton's value carries the rounding of its
+    floating-point X'X: on gmm_shape with kappa free it stands up to 3e-8
+    nats from the 50-digit marginal at two light points, where the pencil's
+    is within 6e-13.  At such points the weights' referee is that solve."""
     grids = []
     adapt = inference.adapt_quadrature
     monkeypatch.setattr(inference, "adapt_quadrature",
                         lambda *args: grids.append(adapt(*args)) or grids[-1])
-    model = MODELS[name]()
+    model = model_for(name)
     fit = aghq_fit(model, num_quad=10, num_samples=0)
     values, ref = newton_oracle(fit, grids[0])
     npt.assert_allclose(grids[0].log_post_values, values, rtol=1e-8)
     for approx, ref_approx in zip(fit.approxes, ref.approxes):
         assert energy_error(approx.mode, ref_approx) <= 1e-8
-    npt.assert_allclose(fit.weights, ref.weights, rtol=1e-8, atol=1e-14)
+    off = np.flatnonzero(~np.isclose(fit.weights, ref.weights, rtol=1e-8, atol=1e-14))
+    assert off.size <= 2
+    values[off] = [gaussian_log_marginal_mp(model, fit.theta_points[j]) for j in off]
+    npt.assert_allclose(fit.weights, grid_weights(values, grids[0]), rtol=1e-8, atol=1e-14)
     knots = model.basis.knot_set
     xs = np.linspace(knots.region_start, knots.region_end, 41)
     for q in (0, 1, 2):
@@ -210,6 +293,28 @@ def test_fit_matches_the_newton_oracle_at_its_grid_points(monkeypatch, name):
         ref_mean, ref_sd = posterior_moments(ref, xs, q)
         assert np.max(np.abs(mean - ref_mean) / ref_sd) <= 1e-8
         assert np.max(np.abs(sd - ref_sd) / ref_sd) <= 1e-8
+
+
+@pytest.mark.parametrize("kappa", ["kappa fixed", "kappa free"])
+def test_fit_with_sigma_fixed_matches_newton(kappa):
+    """sigma fixed and kappa fixed (a single configuration) or free: the
+    fit's values and modes are Newton's, its draws have the mixture's
+    moments."""
+    model = sigma_fixed(sine_model(fixed=True))
+    model = kappa_free(model) if kappa == "kappa free" else model
+    fit = aghq_fit(model, num_quad=5, num_samples=4000, seed=2)
+    assert fit.theta_points.shape == (1 if kappa == "kappa fixed" else 5, len(model.theta_names))
+    for theta, approx in zip(fit.theta_points, fit.approxes):
+        ref = newton_mode(model, theta)
+        assert laplace_log_marginal(model, theta, approx) == pytest.approx(
+            laplace_log_marginal(model, theta, ref), rel=1e-8)
+        assert energy_error(approx.mode, ref) <= 1e-8
+    if kappa == "kappa fixed":
+        assert fit.log_marginal == laplace_log_marginal(model, (), fit.approxes[0])
+    xs = np.linspace(0.5, 19.5, 25)
+    mean, sd = posterior_moments(fit, xs, 0)
+    curve = posterior_function(fit, xs, 0)
+    assert np.max(np.abs(curve.mean - mean) / (sd / math.sqrt(4000))) <= 5.0
 
 
 def test_spectral_draws_match_moments_and_rerun_byte_identical():
