@@ -576,6 +576,7 @@ class GaussianPencil:
     f: np.ndarray
     gp: np.ndarray
     kappa0: float
+    lik_hess: np.ndarray  # X'X / kappa0^2, formed as newton_mode forms it
     log_det_c: float
     rss: float  # ||r0||^2
 
@@ -586,8 +587,9 @@ class GaussianPencil:
         X, y, k = model.design, model.response, model.n_spline
         sigma0, kappa0 = model.split_theta(model.theta_start())
         b = model.prior_precision_diag(1.0, kappa0)  # (d, 1/tau^2): the diagonal of B + P
+        lik_hess = (X.T * (1.0 / kappa0**2)) @ X
         try:
-            chol1 = linalg.cholesky(_gaussian_precision(X.T @ X, 1.0 / kappa0**2, b), lower=True)
+            chol1 = linalg.cholesky(_gaussian_precision(lik_hess, 1.0, b), lower=True)
             V = _lower_inverse(chol1).T  # L1^-T
             xv = X @ V  # V'(C - B)V through X, and V'BV
             va = xv.T @ xv / kappa0**2 + V[k:].T @ (b[k:, None] * V[k:])
@@ -608,7 +610,7 @@ class GaussianPencil:
         return cls(
             model=model, ref=ref, W=W, lam=lam, M=W[k:].T * np.sqrt(b[k:]),
             gx=W.T @ (X.T @ resid) / kappa0**2, f=W[:k].T @ bw[:k], gp=W[k:].T @ bw[k:],
-            kappa0=kappa0,
+            kappa0=kappa0, lik_hess=_readonly(lik_hess),
             log_det_c=2.0 * float(np.sum(np.log(np.diag(chol1))) + np.sum(np.log(np.diag(chol2)))),
             rss=float(resid @ resid),
         )
@@ -648,11 +650,6 @@ class GaussianPencil:
             form_precision=lambda: _gaussian_precision(self.lik_hess, ratio, qdiag),
         )
         return laplace_log_marginal(model, theta, approx=approx), approx
-
-    @cached_property
-    def lik_hess(self) -> np.ndarray:
-        """X'X / kappa0^2 formed as newton_mode forms it, on first read: Newton's bits at kappa0."""
-        return (self.model.design.T * (1.0 / self.kappa0**2)) @ self.model.design
 
     def _cov_basis(self, scale, dmv, coef) -> np.ndarray:
         """W D^-1/2 F with F = I + N V diag(coef) V' N', N V = D^1/2 (D^-1 M) V."""
@@ -977,9 +974,6 @@ def posterior_function(
     )
 
 
-_MOMENT_ROWS = 1024  # xs per block of posterior_moments: O(k) floats per x of a block
-
-
 def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean/SD of g^(q) under the fitted Gaussian mixture (no sampling).
 
@@ -987,26 +981,24 @@ def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np
     and s its ``cov_scale``.  design x B is formed once per distinct basis:
     :class:`GaussianPencil` points share W only at the pencil's kappa0, so a
     fit with kappa fixed pays one O(len(xs) k^2) product per call and
-    O(len(xs) k) per point; other fits pay it at every point, in blocks.
+    O(len(xs) k) per point; other fits pay the product at every point.
     """
     _require_order(fit, q)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    mean, sd = np.empty(xs.size), np.empty(xs.size)
-    for start in range(0, xs.size, _MOMENT_ROWS):
-        at = slice(start, start + _MOMENT_ROWS)
-        design = _curve_design(fit, xs[at], q)
-        d = design.shape[1]  # the coefficients a curve reads; fixed effects come after
-        mus = design @ np.column_stack([approx.mode[:d] for approx in fit.approxes])
-        squares = {}  # id(basis) -> (design B)^2; each basis stays alive in its approx
-        var = np.empty_like(mus)
-        for j, approx in enumerate(fit.approxes):
-            basis = approx.cov_basis
-            if id(basis) not in squares:
-                prod = design @ basis[:d]
-                squares[id(basis)] = np.square(prod, out=prod)
-            var[:, j] = squares[id(basis)] @ (1.0 / approx.cov_scale)
-        mean[at] = mus @ fit.weights
-        sd[at] = np.sqrt(np.maximum((var + mus**2) @ fit.weights - mean[at] ** 2, 0.0))
+    design = _curve_design(fit, xs, q)
+    m = fit.model.n_coef
+    full = np.zeros((xs.size, m))
+    full[:, : design.shape[1]] = design
+    mus = full @ np.column_stack([approx.mode[:m] for approx in fit.approxes])
+    squares = {}  # id(basis) -> (full @ basis)^2; each basis stays alive in its approx
+    var = np.empty_like(mus)
+    for j, approx in enumerate(fit.approxes):
+        basis = approx.cov_basis
+        if id(basis) not in squares:
+            squares[id(basis)] = (full @ basis) ** 2
+        var[:, j] = squares[id(basis)] @ (1.0 / approx.cov_scale)
+    mean = mus @ fit.weights
+    sd = np.sqrt(np.maximum((var + mus**2) @ fit.weights - mean**2, 0.0))
     return mean, sd
 
 

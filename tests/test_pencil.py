@@ -180,7 +180,17 @@ def test_pencil_and_newton_against_a_50_digit_solve(offset, kappa):
             assert spectral <= newton + 1e-15
 
 
-@pytest.mark.parametrize("kappa", [1e-1, 1e-3, 1e-5, 1e-7])
+# At kappa = 1e-7 the log marginal is -1.2e15, where a double resolves 0.125
+# nats, and it changes by ~0.004 nats across the hyperparameter search's
+# finite-difference step: adapt_quadrature compares absolute values, so it
+# stalls there (IterationError) though the pencil sets up.
+_SEARCH_STALLS = pytest.mark.xfail(
+    raises=IterationError, strict=True,
+    reason="adapt_quadrature compares absolute log-posterior values (FOUND in CHANGES.md)")
+
+
+@pytest.mark.parametrize("kappa", [
+    1e-1, 1e-3, 1e-5, pytest.param(1e-7, marks=_SEARCH_STALLS)])
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
 def test_pencil_has_no_stopping_rule_to_stall(offset, kappa):
     """n = 40, k = 10, poly SD 1e7, unit noise fitted with kappa from 1e-1 to
@@ -188,21 +198,34 @@ def test_pencil_has_no_stopping_rule_to_stall(offset, kappa):
     1e-14 nats lies below the rounding of its gradient, eps |y| / kappa^2,
     on five of these twelve, and the pencil's set-up once ran it.  It now
     sets up on all twelve, within 1e-10 of the 50-digit marginal at log
-    sigma -3, 0 and 2.5 (7e-11 measured), and fits wherever the log
-    posterior resolves log sigma.  At kappa = 1e-7 it does not: the log
-    marginal is -1.2e15, where a double resolves 0.125 nats, and it changes
-    by ~0.004 nats across the search's finite-difference step, so the
-    search stalls, loudly."""
+    sigma -3, 0 and 2.5 (7e-11 measured), and the fit runs."""
     model = sine_model(n=40, k=10, offset=offset, kappa=kappa, poly_sd=1e7)
     pencil = GaussianPencil.from_model(model)
     for log_sigma in (-3.0, 0.0, 2.5):
         truth = gaussian_log_marginal_mp(model, [log_sigma])
         assert pencil.log_post([log_sigma])[0] == pytest.approx(truth, rel=1e-10)
-    if kappa > 1e-7:
-        assert np.isfinite(aghq_fit(model, num_quad=5, num_samples=0).log_marginal)
-    else:
-        with pytest.raises(IterationError, match="hyperparameter search stalled"):
-            aghq_fit(model, num_quad=5, num_samples=0)
+    assert np.isfinite(aghq_fit(model, num_quad=5, num_samples=0).log_marginal)
+
+
+@pytest.mark.parametrize("median", [0.01, 100.0])
+def test_kappa_free_with_its_prior_median_far_from_the_noise_sd(median):
+    """Unit noise fitted with kappa free and its prior median, the pencil's
+    kappa0, 100 times below or above the noise SD, so the grid sits near
+    u' = kappa0^2 / kappa^2 = 1e-4 or 1e4 and the rank-r correction is at
+    its largest.  At the fit's own grid points the log marginal and the mode
+    agree with Newton to 1e-8, and the log marginal with the 50-digit solve
+    to 1e-12 (3e-14 measured)."""
+    model = dataclasses.replace(
+        sine_model(n=40, k=10), family_hyper_fixed=None,
+        family_hyper_prior=ExponentialPrior(math.log(2.0) / median))
+    fit = aghq_fit(model, num_quad=4, num_samples=0)
+    assert 0.3 < np.exp(fit.theta_points[:, 1]).min() < np.exp(fit.theta_points[:, 1]).max() < 2.0
+    for theta, approx in zip(fit.theta_points, fit.approxes):
+        value = laplace_log_marginal(model, theta, approx)
+        ref = newton_mode(model, theta)
+        assert value == pytest.approx(laplace_log_marginal(model, theta, ref), rel=1e-8)
+        assert energy_error(approx.mode, ref) <= 1e-8
+        assert value == pytest.approx(gaussian_log_marginal_mp(model, theta), rel=1e-12)
 
 
 def test_pencil_is_the_closer_path_where_the_gram_is_singular():
@@ -268,10 +291,11 @@ def test_fit_matches_the_newton_oracle_at_its_grid_points(monkeypatch, name):
     kappa free on a 10 x 10 grid, and on kappa's grid alone with sigma
     fixed.
 
-    Where H is worst conditioned Newton's value carries the rounding of its
-    floating-point X'X: on gmm_shape with kappa free it stands up to 3e-8
-    nats from the 50-digit marginal at two light points, where the pencil's
-    is within 6e-13.  At such points the weights' referee is that solve."""
+    With kappa free, where H is worst conditioned, Newton's value carries
+    the rounding of its floating-point X'X: on gmm_shape it stands up to
+    3e-8 nats from the 50-digit marginal at two light points, where the
+    pencil's is within 6e-13.  At such points, and only with kappa free,
+    the weights' referee is that solve."""
     grids = []
     adapt = inference.adapt_quadrature
     monkeypatch.setattr(inference, "adapt_quadrature",
@@ -282,10 +306,13 @@ def test_fit_matches_the_newton_oracle_at_its_grid_points(monkeypatch, name):
     npt.assert_allclose(grids[0].log_post_values, values, rtol=1e-8)
     for approx, ref_approx in zip(fit.approxes, ref.approxes):
         assert energy_error(approx.mode, ref_approx) <= 1e-8
-    off = np.flatnonzero(~np.isclose(fit.weights, ref.weights, rtol=1e-8, atol=1e-14))
-    assert off.size <= 2
-    values[off] = [gaussian_log_marginal_mp(model, fit.theta_points[j]) for j in off]
-    npt.assert_allclose(fit.weights, grid_weights(values, grids[0]), rtol=1e-8, atol=1e-14)
+    if "kappa free" in name:
+        off = np.flatnonzero(~np.isclose(fit.weights, ref.weights, rtol=1e-8, atol=1e-14))
+        assert off.size <= 2
+        values[off] = [gaussian_log_marginal_mp(model, fit.theta_points[j]) for j in off]
+        npt.assert_allclose(fit.weights, grid_weights(values, grids[0]), rtol=1e-8, atol=1e-14)
+    else:
+        npt.assert_allclose(fit.weights, ref.weights, rtol=1e-8, atol=1e-14)
     knots = model.basis.knot_set
     xs = np.linspace(knots.region_start, knots.region_end, 41)
     for q in (0, 1, 2):
