@@ -51,7 +51,6 @@ from .prior import (
     ExponentialPrior,
     PSDSpec,
     prior_from_psd,
-    psd_conditional_check,
     psd_to_sigma,
     sigma_to_psd,
 )

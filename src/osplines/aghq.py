@@ -67,6 +67,8 @@ def adapt_quadrature(log_post, theta0, num_quad: int) -> AdaptedGrid:
     :func:`_stencil` per iterate climb from ``theta0`` until the predicted
     gain is at most 1e-5 nats, and the grid is adapted to the last stencil's
     curvature; a search that cannot get there raises :class:`IterationError`.
+    With d = 0 the grid is the one empty point, with weight 1 and
+    ``log_normconst`` its value.
     Each distinct theta the search requests is evaluated once and only its
     value kept; every grid point is evaluated afresh and its state returned
     in ``states``.  Weights are the posterior masses of the grid points

@@ -50,6 +50,17 @@ MAX_ORDER = 20
 _FACT = np.array([math.factorial(i) for i in range(MAX_ORDER + 2)], dtype=float)
 
 
+def _require_order(value) -> int:
+    """``value`` as a process order: an integer, not a bool, in 1..MAX_ORDER."""
+    _require(
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and 1 <= value <= MAX_ORDER,
+        f"order must be an integer in 1..{MAX_ORDER}",
+    )
+    return int(value)
+
+
 @dataclass(frozen=True)
 class KnotSet:
     """Ordered knot locations over a closed region.
@@ -120,12 +131,7 @@ class OSplineBasis:
     knot_set: KnotSet
 
     def __post_init__(self):
-        _require(
-            isinstance(self.order, (int, np.integer)) and not isinstance(self.order, bool),
-            "order must be an integer",
-        )
-        _require(1 <= self.order <= MAX_ORDER, f"order must be in 1..{MAX_ORDER}")
-        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "order", _require_order(self.order))
 
     @property
     def size(self) -> int:
@@ -234,8 +240,7 @@ def polynomial_design(xs, p: int, q: int = 0) -> np.ndarray:
 
     Columns with l < q are zero; at x = 0 the surviving column l = q holds q!.
     """
-    _require(isinstance(p, (int, np.integer)) and p >= 1, "polynomial order must be a positive integer")
-    _require(p <= MAX_ORDER, f"order must be at most {MAX_ORDER}")
+    p = _require_order(p)
     _require(0 <= q <= p, f"derivative order {q} exceeds polynomial block order {p}")
     x = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.zeros((x.size, p))

@@ -9,8 +9,7 @@ of derivatives (q1, q2) is
 
 which this module evaluates in closed form by binomial expansion and
 termwise monomial integration (exact up to rounding, O(p^2) per value).
-Precision degrades for large p because the expansion alternates in sign;
-a high-precision variant backs the prior-elicitation oracle.
+Precision degrades for large p because the expansion alternates in sign.
 
 Also here: the covariance of the overlapping-spline approximation, sup-norm
 error scans, and dense GP regression used as the inferential comparator.
@@ -23,12 +22,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import mpmath
 import numpy as np
 from scipy import linalg
 
 from .aghq import adapt_quadrature
-from .basis import MAX_ORDER, OSplineBasis, _basis_columns, build_equal_knots
+from .basis import OSplineBasis, _basis_columns, _require_order, build_equal_knots
 from .errors import NumericError, _require
 
 
@@ -51,21 +49,6 @@ def _wp_cov_terms(p: int, s, t, q1: int, q2: int):
     return acc / (math.factorial(a) * math.factorial(b))
 
 
-def _wp_cov_mp(p: int, s, t, q1: int, q2: int):
-    """High-precision variant of :func:`_wp_cov_terms` (scalar, mpmath)."""
-    a = p - q1 - 1
-    b = p - q2 - 1
-    s = mpmath.mpf(s)
-    t = mpmath.mpf(t)
-    m = min(s, t)
-    acc = mpmath.mpf(0)
-    for i in range(a + 1):
-        for j in range(b + 1):
-            c = mpmath.binomial(a, i) * mpmath.binomial(b, j) * (-1) ** (i + j)
-            acc += c * s ** (a - i) * t ** (b - j) * m ** (i + j + 1) / (i + j + 1)
-    return acc / (mpmath.factorial(a) * mpmath.factorial(b))
-
-
 @dataclass(frozen=True)
 class IWPKernel:
     """Exact covariance evaluator for the integrated Wiener process.
@@ -79,12 +62,8 @@ class IWPKernel:
     sigma: float
 
     def __post_init__(self):
-        _require(
-            isinstance(self.order, (int, np.integer)) and 1 <= self.order <= MAX_ORDER,
-            f"order must be an integer in 1..{MAX_ORDER}",
-        )
+        object.__setattr__(self, "order", _require_order(self.order))
         _require(math.isfinite(self.sigma) and self.sigma >= 0, "sigma must be finite and >= 0")
-        object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "sigma", float(self.sigma))
 
     def cov(self, s: float, t: float, q1: int = 0, q2: int = 0) -> float:

@@ -726,24 +726,13 @@ def aghq_fit(
             warm = approx.mode
             return laplace_log_marginal(model, theta, approx=approx), approx
 
-    if len(model.theta_names) == 0:
-        log_marg, approx = log_post(())
-        points = np.zeros((1, 0))
-        weights = np.ones(1)
-        approxes = [approx]
-    else:
-        grid = adapt_quadrature(log_post, model.theta_start(), num_quad)
-        points = grid.points
-        weights = grid.weights
-        approxes = grid.states
-        log_marg = grid.log_normconst
-
+    grid = adapt_quadrature(log_post, model.theta_start(), num_quad)
     m = model.n_coef
-    counts = np.random.default_rng([seed, 1]).multinomial(num_samples, weights)
+    counts = np.random.default_rng([seed, 1]).multinomial(num_samples, grid.weights)
     samples = np.empty((num_samples, m))
-    point_index = np.repeat(np.arange(len(weights)), counts)
+    point_index = np.repeat(np.arange(len(grid.weights)), counts)
     row = 0
-    for j, (approx, cnt) in enumerate(zip(approxes, counts)):
+    for j, (approx, cnt) in enumerate(zip(grid.states, counts)):
         if cnt > 0:  # covariance B diag(1/s) B'  =>  draws = mode + B s^-1/2 z
             z = np.random.default_rng([seed, 2, j]).standard_normal((m, cnt))
             dev = approx.cov_basis @ (z / np.sqrt(approx.cov_scale)[:, None])
@@ -752,10 +741,10 @@ def aghq_fit(
 
     return PosteriorFit(
         model=model,
-        theta_points=points,
-        weights=weights,
-        approxes=approxes,
-        log_marginal=log_marg,
+        theta_points=grid.points,
+        weights=grid.weights,
+        approxes=grid.states,
+        log_marginal=grid.log_normconst,
         samples=samples,
         sample_point_index=point_index,
         seed=seed,
@@ -986,16 +975,15 @@ def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np
     _require_order(fit, q)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     design = _curve_design(fit, xs, q)
-    m = fit.model.n_coef
-    full = np.zeros((xs.size, m))
-    full[:, : design.shape[1]] = design
-    mus = full @ np.column_stack([approx.mode[:m] for approx in fit.approxes])
-    squares = {}  # id(basis) -> (full @ basis)^2; each basis stays alive in its approx
+    c = design.shape[1]  # the curve reads the spline and polynomial coefficients only
+    mus = design @ np.column_stack([approx.mode[:c] for approx in fit.approxes])
+    squares = {}  # id(basis) -> (design @ basis)^2; each basis stays alive in its approx
     var = np.empty_like(mus)
     for j, approx in enumerate(fit.approxes):
         basis = approx.cov_basis
         if id(basis) not in squares:
-            squares[id(basis)] = (full @ basis) ** 2
+            dev = design @ basis[:c]
+            squares[id(basis)] = np.square(dev, out=dev)
         var[:, j] = squares[id(basis)] @ (1.0 / approx.cov_scale)
     mean = mus @ fit.weights
     sd = np.sqrt(np.maximum((var + mus**2) @ fit.weights - mean**2, 0.0))

@@ -16,12 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
-from .basis import MAX_ORDER
-from .errors import NumericError, _require
-from .exact import IWPKernel, _wp_cov_mp
+from .basis import _require_order
+from .errors import _require
 
 
 @dataclass(frozen=True)
@@ -32,12 +30,8 @@ class PSDSpec:
     order: int
 
     def __post_init__(self):
-        _require(
-            isinstance(self.order, (int, np.integer)) and 1 <= self.order <= MAX_ORDER,
-            f"order must be an integer in 1..{MAX_ORDER}",
-        )
+        object.__setattr__(self, "order", _require_order(self.order))
         _require(math.isfinite(self.h) and self.h > 0, "h must be finite and positive")
-        object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "h", float(self.h))
 
     @property
@@ -89,38 +83,3 @@ def prior_from_psd(spec: PSDSpec, u: float, alpha: float) -> ExponentialPrior:
     _require(0.0 < alpha < 1.0, "alpha must lie strictly between 0 and 1")
     rate_psd = -math.log(alpha) / u
     return ExponentialPrior(rate=rate_psd / spec.conversion)
-
-
-def psd_conditional_check(kernel: IWPKernel, x: float, h: float, dps: int = 60) -> float:
-    """Conditional SD of g(x+h) given g(x), g'(x), ..., g^(p-1)(x), numerically.
-
-    Computed by Gaussian conditioning of the exact joint covariance.  The
-    Schur complement cancels catastrophically in double precision when
-    h << x (the conditional variance can sit fifteen orders below the
-    marginal one), so the conditioning runs in extended precision; the
-    mathematics is plain Gaussian conditioning either way.  This is the
-    independent oracle for :func:`sigma_to_psd` and its location invariance.
-    """
-    _require(x >= 0, "x must be >= 0")
-    _require(h > 0, "h must be positive")
-    p = kernel.order
-    with mpmath.workdps(dps):
-        s11 = _wp_cov_mp(p, x + h, x + h, 0, 0)
-        if x == 0.0:
-            # every conditioning variable is almost surely zero at the origin
-            cond_var = s11
-        else:
-            s22 = mpmath.matrix(p, p)
-            s12 = mpmath.matrix(p, 1)
-            for i in range(p):
-                s12[i] = _wp_cov_mp(p, x + h, x, 0, i)
-                for j in range(i, p):
-                    s22[i, j] = s22[j, i] = _wp_cov_mp(p, x, x, i, j)
-            try:
-                sol = mpmath.lu_solve(s22, s12)
-            except Exception as err:
-                raise NumericError(f"singular conditioning matrix at x={x}: {err}")
-            cond_var = s11 - sum(s12[i] * sol[i] for i in range(p))
-        if cond_var < 0:
-            raise NumericError(f"negative conditional variance {cond_var} at x={x}, h={h}")
-        return kernel.sigma * float(mpmath.sqrt(cond_var))

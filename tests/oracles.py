@@ -23,7 +23,9 @@ quadrature's mode is found by Nelder-Mead and its curvature by a separate
 finite-difference Hessian, as ``adapt_quadrature`` once did.  Single basis
 functions and knot-cell indicators are evaluated one value at a time, and
 covariances are integrated repeatedly by adaptive quadrature, as references
-for the closed-form basis and kernels.
+for the closed-form basis and kernels.  The predictive SD of the prior is
+checked against Gaussian conditioning of the exact covariance in 60-digit
+arithmetic.
 """
 
 import dataclasses
@@ -139,6 +141,56 @@ def integrate_cov_oracle(
             f"estimated error {err:.3e} > {abs_tol:.3e} at (s={s}, t={t}, steps={steps})"
         )
     return float(val)
+
+
+def _wp_cov_mp(p: int, s, t, q1: int, q2: int):
+    """High-precision variant of ``exact._wp_cov_terms`` (scalar, mpmath)."""
+    a = p - q1 - 1
+    b = p - q2 - 1
+    s = mpmath.mpf(s)
+    t = mpmath.mpf(t)
+    m = min(s, t)
+    acc = mpmath.mpf(0)
+    for i in range(a + 1):
+        for j in range(b + 1):
+            c = mpmath.binomial(a, i) * mpmath.binomial(b, j) * (-1) ** (i + j)
+            acc += c * s ** (a - i) * t ** (b - j) * m ** (i + j + 1) / (i + j + 1)
+    return acc / (mpmath.factorial(a) * mpmath.factorial(b))
+
+
+def psd_conditional_check(kernel: IWPKernel, x: float, h: float, dps: int = 60) -> float:
+    """Conditional SD of g(x+h) given g(x), g'(x), ..., g^(p-1)(x), numerically.
+
+    Computed by Gaussian conditioning of the exact joint covariance.  The
+    Schur complement cancels catastrophically in double precision when
+    h << x (the conditional variance can sit fifteen orders below the
+    marginal one), so the conditioning runs in extended precision; the
+    mathematics is plain Gaussian conditioning either way.  This is the
+    independent oracle for ``prior.sigma_to_psd`` and its location invariance.
+    """
+    _require(x >= 0, "x must be >= 0")
+    _require(h > 0, "h must be positive")
+    p = kernel.order
+    with mpmath.workdps(dps):
+        s11 = _wp_cov_mp(p, x + h, x + h, 0, 0)
+        if x == 0.0:
+            # every conditioning variable is almost surely zero at the origin
+            cond_var = s11
+        else:
+            s22 = mpmath.matrix(p, p)
+            s12 = mpmath.matrix(p, 1)
+            for i in range(p):
+                s12[i] = _wp_cov_mp(p, x + h, x, 0, i)
+                for j in range(i, p):
+                    s22[i, j] = s22[j, i] = _wp_cov_mp(p, x, x, i, j)
+            try:
+                sol = mpmath.lu_solve(s22, s12)
+            except Exception as err:
+                raise NumericError(f"singular conditioning matrix at x={x}: {err}")
+            cond_var = s11 - sum(s12[i] * sol[i] for i in range(p))
+        if cond_var < 0:
+            raise NumericError(f"negative conditional variance {cond_var} at x={x}, h={h}")
+        return kernel.sigma * float(mpmath.sqrt(cond_var))
 
 
 def repeated_integral_of_test_function(knot_set: KnotSet, i: int, x: float, p: int) -> float:
@@ -543,23 +595,27 @@ def gaussian_marginal_exact(model: LatentModel, theta=()) -> float:
 def gaussian_log_marginal_mp(model: LatentModel, theta=(), dps: int = 50) -> float:
     """:func:`gaussian_marginal_exact` solved in ``dps``-digit arithmetic.
 
-    The design, response and prior precisions are taken as the doubles the
-    model holds, which mpmath represents exactly, so the only rounding left
-    is that of the ``dps``-digit Cholesky factorization of the n x n
-    covariance X Q^-1 X' + kappa^2 I.  Meant for n of a few dozen: the
-    factorization is O(n^3) in Python arithmetic.
+    The covariance is sigma^2 X_s D^-1 X_s' + X_p T X_p' + kappa^2 I, with
+    D the spline weights' precision at sigma = 1 and T the prior variances
+    of the polynomial and fixed-effect blocks.  The design, response, prior
+    precisions, sigma and kappa are taken as the doubles the model holds,
+    which mpmath represents exactly, so the only rounding left is that of
+    the ``dps``-digit arithmetic (sigma^2 scales D^-1 exactly, where
+    ``prior_precision_diag`` rounds D / sigma^2 to doubles).  Both theta-free products are formed once
+    per model (:func:`_mp_covariance_parts`); each call then assembles the
+    n x n covariance and factors it, O(n^3) in Python arithmetic, so this is
+    meant for n up to about a hundred.
     """
     sigma, kappa = model.split_theta(theta)
-    qd = model.prior_precision_diag(sigma, kappa)
-    n, m = model.design.shape
+    n = model.n_obs
+    spline, rest = _mp_covariance_parts(model, dps)
     with mpmath.workdps(dps):
-        X = mpmath.matrix(model.design.tolist())
-        var = [1 / mpmath.mpf(float(q)) for q in qd]
+        s2, k2 = mpmath.mpf(sigma) ** 2, mpmath.mpf(kappa) ** 2
         cov = mpmath.matrix(n, n)
         for i in range(n):
             for j in range(i + 1):
-                cov[i, j] = cov[j, i] = mpmath.fsum(X[i, c] * var[c] * X[j, c] for c in range(m))
-            cov[i, i] += mpmath.mpf(kappa) ** 2
+                cov[i, j] = cov[j, i] = s2 * spline[i][j] + rest[i][j]
+            cov[i, i] += k2
         chol = mpmath.cholesky(cov)
         half = []  # L^-1 y by forward substitution
         for i, y in enumerate(model.response.tolist()):
@@ -568,6 +624,28 @@ def gaussian_log_marginal_mp(model: LatentModel, theta=(), dps: int = 50) -> flo
         quad = mpmath.fsum(v**2 for v in half)
         val = -(n * mpmath.log(2 * mpmath.pi) + log_det + quad) / 2
         return float(val + model.log_hyperprior(theta))
+
+
+def _mp_covariance_parts(model: LatentModel, dps: int):
+    """Lower triangles of X_s D^-1 X_s' and X_p T X_p' in ``dps`` digits.
+
+    Kept on the model itself, which holds read-only arrays, so the cache
+    lives and dies with the model.
+    """
+    cache = model.__dict__.setdefault("_mp_covariance_parts", {})
+    if dps not in cache:
+        k = model.n_spline
+        with mpmath.workdps(dps):
+            var = [1 / mpmath.mpf(float(q)) for q in model.prior_precision_diag(1.0, None)]
+
+            def gram(block, block_var):  # lower triangle of block diag(block_var) block'
+                x = [[mpmath.mpf(v) for v in row] for row in block.tolist()]
+                xv = [[a * b for a, b in zip(row, block_var)] for row in x]
+                return [[mpmath.fdot(xv[i], xj) for xj in x[: i + 1]] for i in range(len(x))]
+
+            X = model.design
+            cache[dps] = gram(X[:, :k], var[:k]), gram(X[:, k:], var[k:])
+    return cache[dps]
 
 
 def exact_mixture_moments(order, xs, ys, noise_sd, poly_prior_sd, predict_x, derivs,

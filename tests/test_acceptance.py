@@ -36,7 +36,6 @@ from osplines import (
     newton_mode,
     posterior_moments,
     prior_from_psd,
-    psd_conditional_check,
     sigma_to_psd,
     sup_cov_error,
 )
@@ -47,6 +46,7 @@ from osplines.simbench import (
     run_correlation_study,
     run_gmm_study,
 )
+from oracles import psd_conditional_check
 
 
 @contextmanager

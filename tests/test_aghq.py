@@ -38,6 +38,16 @@ def test_quadrature_evaluates_each_theta_once_and_keeps_grid_states():
     np.testing.assert_allclose(grid.weights.sum(), 1.0)
 
 
+def test_a_search_over_no_hyperparameters_is_the_one_point_grid():
+    """With every hyperparameter fixed the grid is theta = () with weight 1,
+    and the normalizing constant is the log posterior there, to the bit."""
+    grid = adapt_quadrature(lambda theta: (-3.25, "state"), np.zeros(0), 10)
+    assert grid.points.shape == (1, 0)
+    assert grid.weights.tolist() == [1.0]
+    assert grid.log_normconst == -3.25
+    assert grid.states == ["state"]
+
+
 def test_newton_search_finds_a_gaussian_mode_in_two_stencils():
     """On a quadratic the stencil is exact, so one Newton step lands on the
     mode and a second stencil confirms it: at most 2 * 3^d distinct thetas

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from osplines import (
     InvalidArgumentError,
+    IWPKernel,
     KnotSet,
     OSplineBasis,
+    PSDSpec,
     build_equal_knots,
     design_matrix,
     polynomial_design,
@@ -267,6 +269,18 @@ def test_polynomial_design_validation():
         polynomial_design([1.0], 0, 0)
     with pytest.raises(InvalidArgumentError):
         polynomial_design([1.0], 3, 4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: OSplineBasis(p, build_equal_knots(0.0, 1.0, 4)),
+    lambda p: IWPKernel(p, 1.0),
+    lambda p: PSDSpec(h=1.0, order=p),
+    lambda p: polynomial_design([0.5], p),
+], ids=["OSplineBasis", "IWPKernel", "PSDSpec", "polynomial_design"])
+@pytest.mark.parametrize("order", [True, 0, 21, 2.5])
+def test_every_order_check_rejects_the_same_values(make, order):
+    with pytest.raises(InvalidArgumentError, match="order must be an integer in 1..20"):
+        make(order)
 
 
 def test_weight_precision_examples():

@@ -1,12 +1,15 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import osplines
 from osplines.cli import main
 from osplines.inference import aghq_fit
 
@@ -554,6 +557,15 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "psd(2.0)" in proc.stdout
+
+
+def test_importing_the_library_and_cli_loads_no_mpmath():
+    """mpmath backs the test oracles only; the library runs on numpy and scipy."""
+    src = Path(osplines.__file__).parents[1]
+    code = 'import osplines, osplines.cli, sys; assert "mpmath" not in sys.modules'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_fit_computes_each_condition_number_once(tmp_path, monkeypatch):

@@ -10,10 +10,10 @@ from osplines import (
     InvalidArgumentError,
     PSDSpec,
     prior_from_psd,
-    psd_conditional_check,
     psd_to_sigma,
     sigma_to_psd,
 )
+from oracles import psd_conditional_check
 
 
 def test_sigma_to_psd_examples():
