@@ -39,6 +39,7 @@ from .inference import (
     aghq_fit,
     build_model,
     condition_number,
+    laplace_gradient,
     laplace_log_marginal,
     log_joint,
     max_condition_number,

@@ -3,8 +3,10 @@
 Shared by the latent-model fitter and the dense GP comparator: find the mode
 of a log-posterior over the (log-transformed) hyperparameters by damped
 Newton steps, adapt a Gauss-Hermite product grid to the mode and curvature,
-and return normalized grid weights.  An even node count is permitted; the
-grid then simply excludes the mode itself.
+and return normalized grid weights.  The search takes exact gradients where
+the log-posterior's states carry them and finite differences of values
+elsewhere.  An even node count is permitted; the grid then simply excludes
+the mode itself.
 """
 
 from __future__ import annotations
@@ -58,35 +60,65 @@ def _stencil(fun, x):
     return f0, grad, hess
 
 
+def _gradient_stencil(value, gradient, x):
+    """Value, exact gradient and Hessian at ``x``, the Hessian from central
+    differences of exact gradients at x +- h e_i, with :func:`_stencil`'s h,
+    symmetrized: 2d + 1 evaluations."""
+    d = x.size
+    e = np.diag(1e-3 * (1.0 + np.abs(x)))
+    hess = np.empty((d, d))
+    for i in range(d):
+        hess[:, i] = (gradient(x + e[i]) - gradient(x - e[i])) / (2.0 * e[i, i])
+    return value(x), gradient(x), 0.5 * (hess + hess.T)
+
+
 def adapt_quadrature(log_post, theta0, num_quad: int) -> AdaptedGrid:
     """Find the mode of ``log_post``, adapt a GH product grid, normalize its weights.
 
     ``log_post`` maps a length-d array to ``(value, state)``, the state being
     whatever it built on the way (a Laplace approximation, a Cholesky factor);
     ``num_quad`` is the node count per dimension.  Damped Newton steps on one
-    :func:`_stencil` per iterate climb from ``theta0`` until the predicted
-    gain is at most 1e-5 nats, and the grid is adapted to the last stencil's
-    curvature; a search that cannot get there raises :class:`IterationError`.
+    stencil per iterate climb from ``theta0`` until the predicted gain is at
+    most 1e-5 nats, and the grid is adapted to the last stencil's curvature;
+    a search that cannot get there raises :class:`IterationError`.  Where
+    the state at ``theta0`` has a ``gradient`` that is not None (the count
+    families' Laplace states), every iterate takes the exact gradient and a
+    Hessian from differences of exact gradients, :func:`_gradient_stencil`,
+    at 2d + 1 points; otherwise (the Gaussian pencil, whose theta costs
+    O(k r^2), and the exact comparator) it takes the value :func:`_stencil`
+    at 2d^2 + 1.  At d = 1 both take 3.  The centre of every iterate after
+    the first is the last accepted step, already evaluated.
     With d = 0 the grid is the one empty point, with weight 1 and
     ``log_normconst`` its value.
     Each distinct theta the search requests is evaluated once and only its
-    value kept; every grid point is evaluated afresh and its state returned
-    in ``states``.  Weights are the posterior masses of the grid points
+    value and gradient kept; every grid point is evaluated afresh and its
+    state returned in ``states``.  Weights are the posterior masses of the grid points
     (they sum to one); ``log_normconst`` estimates log of the integral of
     exp(log_post).
     """
     theta = np.atleast_1d(np.asarray(theta0, dtype=float))
     d = theta.size
-    memo: dict[tuple, float] = {}
+    memo: dict[tuple, tuple] = {}
 
-    def value(th):
+    def evaluate(th):
         key = tuple(th.tolist())
         if key not in memo:
-            memo[key] = log_post(th)[0]
+            val, state = log_post(th)
+            memo[key] = val, getattr(state, "gradient", None) if d else None
         return memo[key]
 
+    def value(th):
+        return evaluate(th)[0]
+
+    def gradient(th):
+        return evaluate(th)[1]
+
+    exact = gradient(theta) is not None
     for _ in range(_MAX_ITER):
-        f0, grad, hess = _stencil(value, theta)
+        if exact:
+            f0, grad, hess = _gradient_stencil(value, gradient, theta)
+        else:
+            f0, grad, hess = _stencil(value, theta)
         try:
             hess_chol = np.linalg.cholesky(-hess)
         except np.linalg.LinAlgError:

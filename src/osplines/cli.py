@@ -225,19 +225,23 @@ def cmd_fit(args) -> int:
         for transform in transforms:
             curve = posterior_function(fit, grid, q, transform=transform)
             path = out / f"curve_q{q}{'_exp' if transform else ''}.csv"
+            # Python floats, which write_csv formats without converting numpy scalars
+            columns = (curve.xs, curve.mean, curve.sd, curve.lower, curve.upper)
+            xs, mean, sd, lower, upper = (col.tolist() for col in columns)
             write_csv(
                 path, ["x", "q", "mean", "sd", "lower", "upper"],
-                list(zip(curve.xs, [q] * grid.size, curve.mean, curve.sd, curve.lower, curve.upper)),
+                list(zip(xs, [q] * grid.size, mean, sd, lower, upper)),
             )
             files.append(path)
 
     spec = PSDSpec(h=args.psd_h, order=args.order)
     sigmas, hypers = fit.sigmas, fit.family_hypers
+    weights, sigma_list, hyper_list = fit.weights.tolist(), sigmas.tolist(), hypers.tolist()
     hyper_rows = []
     for j in range(fit.weights.size):
-        row = [j, fit.weights[j], sigmas[j], sigma_to_psd(spec, sigmas[j])]
+        row = [j, weights[j], sigma_list[j], sigma_to_psd(spec, sigma_list[j])]
         if model.family_hyper_prior is not None:
-            row.append(hypers[j])
+            row.append(hyper_list[j])
         hyper_rows.append(row)
     hyper_header = ["point", "weight", "sigma", f"psd_h{_fmt(args.psd_h)}"]
     if model.family_hyper_prior is not None:
@@ -257,7 +261,7 @@ def cmd_fit(args) -> int:
         path = out / "fixed_effects.csv"
         write_csv(
             path, ["effect", "mean", "sd", "lower", "upper"],
-            list(zip(fixed_names + ["(reference)"], *summary)),
+            list(zip(fixed_names + ["(reference)"], *(col.tolist() for col in summary))),
         )
         files.append(path)
 

@@ -21,7 +21,8 @@ internally with the exact Jacobian applied to their exponential priors.
 Every Gaussian fit goes through :class:`GaussianPencil`, which
 diagonalizes the negative Hessian once per fit: each (sigma, kappa) then
 costs O(k) plus a rank-r correction off the start kappa instead of a Newton
-solve (Wood 2011).  Newton serves the count families.
+solve (Wood 2011).  Newton serves the count families, whose Laplace
+states carry exact theta-gradients for the hyperparameter search.
 
 Fits record their seed; per-quadrature-point sampling streams are derived
 deterministically from the point index, so results do not depend on how the
@@ -270,12 +271,20 @@ def _arrow_precision(X: np.ndarray, curv: np.ndarray, qdiag: np.ndarray) -> np.n
     return hess
 
 
+def _cho_solve(chol, b) -> np.ndarray:
+    """S^-1 b from ``cho_factor``'s (factor, lower) pair, by LAPACK's dpotrs
+    directly: ``cho_solve``'s argument checks cost it four times as much at
+    k ~ 50, and Newton and Lanczos solve many times per factor."""
+    x, _ = linalg.lapack.dpotrs(chol[0], b, lower=chol[1])
+    return x
+
+
 def _arrow_solve(X: np.ndarray, curv: np.ndarray, d: np.ndarray, chol, b_coef, b_obs):
     """H^-1 (b_coef, b_obs) for the overdispersed family's arrow precision,
     with d = curv + 1/phi^2, through the Cholesky factor ``chol`` of its
     Schur complement S over eps (as ``cho_solve`` takes it): solve S x_a =
     b_a - X'(curv b_eps / d), then x_eps = (b_eps - curv X x_a) / d."""
-    coef = linalg.cho_solve(chol, b_coef - X.T @ (curv * b_obs / d))
+    coef = _cho_solve(chol, b_coef - X.T @ (curv * b_obs / d))
     return coef, (b_obs - curv * (X @ coef)) / d
 
 
@@ -357,6 +366,13 @@ class GaussianApprox:
     from ``form_extremes`` where one is set (the overdispersed family's
     Lanczos on the arrow structure, which never forms ``precision``) and
     otherwise from the ends of a dense ``eigvalsh`` of ``precision``.
+
+    At a count-family Newton mode the approximation also carries the
+    theta-derivatives of the Laplace approximation, each formed on first
+    read and kept: ``tangent`` (d x latent_dim), the mode's derivative
+    along each free hyperparameter, and ``gradient``, that of
+    :func:`laplace_log_marginal` (see :func:`laplace_gradient`).  Elsewhere
+    both read None.
     """
 
     mode: np.ndarray
@@ -368,10 +384,21 @@ class GaussianApprox:
     form_cov_basis: Callable[[], np.ndarray] = field(repr=False)
     form_precision: Callable[[], np.ndarray] = field(repr=False)
     form_extremes: Optional[Callable[[], tuple[float, float]]] = field(default=None, repr=False)
+    form_tangent: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
+    # called with the tangent, which the gradient's mode-movement term reads
+    form_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
     @cached_property
     def cov_basis(self) -> np.ndarray:
         return self.form_cov_basis()
+
+    @cached_property
+    def tangent(self) -> Optional[np.ndarray]:
+        return None if self.form_tangent is None else self.form_tangent()
+
+    @cached_property
+    def gradient(self) -> Optional[np.ndarray]:
+        return None if self.form_gradient is None else self.form_gradient(self.tangent)
 
     @cached_property
     def precision(self) -> np.ndarray:
@@ -429,7 +456,10 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
     factorization; the precision is the last Hessian, or for the
     overdispersed family the full arrow matrix, formed when read; its
     extreme eigenvalues are read without forming it, by Lanczos on the arrow
-    structure through that same factorization.
+    structure through that same factorization.  For the count families the
+    approximation's ``tangent`` and ``gradient`` (see
+    :func:`laplace_gradient`) come from that factorization too, each on
+    first read.  Solves with the factor go to LAPACK's dpotrs directly.
     """
     sigma, hyper = model.split_theta(theta)
     qdiag = model.prior_precision_diag(sigma, hyper)
@@ -460,7 +490,7 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
         hess = (X.T * (curv / (1.0 + hyper**2 * curv) if overdispersed else curv)) @ X
         hess[np.diag_indices_from(hess)] += q_coef
         try:
-            chol = linalg.cho_factor(hess, lower=True)
+            chol = linalg.cho_factor(hess, lower=True, check_finite=False)
         except linalg.LinAlgError:
             raise NumericError("indefinite negative Hessian during Newton iteration")
         if overdispersed:  # the arrow system, solved through S
@@ -470,7 +500,7 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
             gain = 0.5 * (float(grad @ step_coef) + float(grad_obs @ step_obs))
             step = np.concatenate([step_coef, step_obs])
         else:
-            step = linalg.cho_solve(chol, grad)
+            step = _cho_solve(chol, grad)
             gain = 0.5 * float(grad @ step)
         if gain <= _NEWTON_TOL:
             break
@@ -497,18 +527,21 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
 
     lower = np.tril(chol[0])
     log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    form_extremes = None
+    form_extremes = form_tangent = form_gradient = None
     if overdispersed:
         log_det += float(np.sum(np.log(d)))
         form_precision = partial(_arrow_precision, X, curv, qdiag)
         form_extremes = partial(_arrow_extremes, X, curv, qdiag, (lower, True))
     else:
         form_precision = partial(np.asarray, hess)  # the last Hessian, already formed
+    if model.family != "gaussian":
+        form_tangent = partial(_mode_tangent, model, qdiag, w, curv, (lower, True))
+        form_gradient = partial(_gradient_at_mode, model, theta, qdiag, w, curv, lower)
     return GaussianApprox(
         mode=w, log_det=log_det, log_joint_at_mode=lj, predicted_gain=gain,
         iterations=iterations, cov_scale=np.ones(m),
         form_cov_basis=partial(_covariance_basis, lower), form_precision=form_precision,
-        form_extremes=form_extremes,
+        form_extremes=form_extremes, form_tangent=form_tangent, form_gradient=form_gradient,
     )
 
 
@@ -526,6 +559,84 @@ def laplace_log_marginal(model: LatentModel, theta=(), approx=None) -> float:
         + 0.5 * model.latent_dim * math.log(2.0 * math.pi)
         - 0.5 * approx.log_det
     )
+
+
+def laplace_gradient(model: LatentModel, theta=(), approx=None) -> np.ndarray:
+    """Gradient over the free log-hyperparameters of :func:`laplace_log_marginal`,
+    for the count families, read from the Newton approximation ``approx``
+    (solved afresh if None) as its ``gradient``.
+
+    The envelope theorem leaves the partial derivative of the log joint at
+    the mode, and the log-determinant adds -1/2 tr(H^-1 dH/dtheta) with
+    dH/dtheta = dQ/dtheta + X~' diag(c v) X~: Q the diagonal prior
+    precision, c = exp(eta), X~ = X (or [X | I] with eps) and v = X~ t the
+    linear predictor's move along the mode's tangent t = H^-1 (-dQ/dtheta)
+    mode (Kristensen et al. 2016, JSS).  Everything comes from Newton's
+    last factor S = L L': with l = diag(X S^-1 X') from X L^-T, the
+    leverages diag(X~ H^-1 X~') are l (phi^-2 / d)^2 + 1/d for the
+    overdispersed family (l for plain Poisson), and diag(H^-1) over eps is
+    1/d + (c/d)^2 l, d = c + 1/phi^2; O(n k^2) in all, the cost of one
+    Newton iterate.
+    """
+    _require(model.family != "gaussian",
+             "the Gaussian family's theta-derivatives are not carried by its approximation")
+    if approx is None:
+        approx = newton_mode(model, theta)
+    return approx.gradient
+
+
+def _hyper_blocks(model: LatentModel) -> list:
+    """For each free hyperparameter of a count family, the slice of the
+    latent vector whose prior precision it scales by exp(-2 theta): the
+    spline weights for log sigma, eps for log phi."""
+    blocks = (slice(0, model.n_spline), slice(model.n_coef, model.latent_dim))
+    return [blocks[slot] for slot, _, _ in model._free_hypers]
+
+
+def _mode_tangent(model: LatentModel, qdiag, mode, curv, chol) -> np.ndarray:
+    """d mode / d theta at a count-family Newton mode, one row per free
+    hyperparameter: H^-1 (-dQ/dtheta) mode, whose right-hand side is
+    2 q mode on the hyperparameter's block; one solve through Newton's last
+    factor ``chol`` each (the arrow solve for eps), O(n k + k^2); ``qdiag``
+    is the diagonal of Q."""
+    m = model.n_coef
+    overdispersed = model.family == "poisson_od"
+    d = curv + qdiag[m:] if overdispersed else None
+    rows = np.zeros((len(model._free_hypers), model.latent_dim))
+    for row, block in zip(rows, _hyper_blocks(model)):
+        rhs = np.zeros(model.latent_dim)
+        rhs[block] = 2.0 * qdiag[block] * mode[block]
+        if overdispersed:
+            row[:m], row[m:] = _arrow_solve(model.design, curv, d, chol, rhs[:m], rhs[m:])
+        else:
+            row[:] = _cho_solve(chol, rhs)
+    return rows
+
+
+def _gradient_at_mode(model: LatentModel, theta, qdiag, mode, curv, lower,
+                      tangent) -> np.ndarray:
+    """:func:`laplace_gradient` from Newton's last factor ``lower`` of S and
+    the mode's ``tangent``."""
+    theta = model._theta(theta)
+    X, m = model.design, model.n_coef
+    inv = _lower_inverse(lower)  # S^-1 = L^-T L^-1
+    lev = np.sum(np.square(X @ inv.T), axis=1)  # diag(X S^-1 X')
+    h_inv = np.sum(np.square(inv), axis=0)  # diag(H^-1) over the coefficients
+    move = X @ tangent[:, :m].T  # (n, free) linear-predictor moves
+    if model.family == "poisson_od":
+        d = curv + qdiag[m:]
+        h_inv = np.concatenate([h_inv, 1.0 / d + np.square(curv / d) * lev])
+        lev = lev * np.square(qdiag[m:] / d) + 1.0 / d
+        move += tangent[:, m:].T
+    grad = -0.5 * ((curv * lev) @ move)
+    for i, ((_, _, prior), t, block) in enumerate(zip(model._free_hypers, theta,
+                                                      _hyper_blocks(model))):
+        q = qdiag[block]
+        # d log joint / d theta at the mode, -1/2 tr(H^-1 dQ/dtheta), and the
+        # log-scale hyperprior's 1 - rate e^theta
+        grad[i] += (float(q @ (np.square(mode[block]) + h_inv[block])) - q.size
+                    + 1.0 - prior.rate * math.exp(t))
+    return grad
 
 
 def _gaussian_precision(lik_hess: np.ndarray, ratio: float, qdiag: np.ndarray) -> np.ndarray:
@@ -707,8 +818,12 @@ def aghq_fit(
     proportionally to their weights; a grid point draws mode + B s^-1/2 z
     from its ``cov_basis`` B and ``cov_scale`` s, whatever the family.
     Gaussian models go through one :class:`GaussianPencil` and no Newton
-    solve; the count families through one warm-started Newton solve per
-    hyperparameter value.
+    solve; the count families through one Newton solve per hyperparameter
+    value, started from the last solve's mode moved along its ``tangent``
+    by the step in theta (where that start's log joint is not finite,
+    :func:`newton_mode` restarts from zero).  Their states carry exact
+    gradients (:func:`laplace_gradient`), so the hyperparameter search
+    takes 2d + 1 solves per iterate where the pencil takes 2d^2 + 1 values.
     """
     _require(num_quad >= 1, "num_quad must be >= 1")
     _require(num_samples >= 0, "num_samples must be >= 0")
@@ -717,13 +832,16 @@ def aghq_fit(
     if model.family == "gaussian":
         log_post = GaussianPencil.from_model(model).log_post
     else:
-        warm = None
+        last = None  # (theta, approx) of the last solve
 
         def log_post(theta):
-            # warm-started from the last mode: neighbouring thetas share most of it
-            nonlocal warm
-            approx = newton_mode(model, theta, init=warm)
-            warm = approx.mode
+            # started from the last mode moved along its tangent by the theta-step
+            nonlocal last
+            init = None
+            if last is not None:
+                init = last[1].mode + (theta - last[0]) @ last[1].tangent
+            approx = newton_mode(model, theta, init=init)
+            last = theta, approx
             return laplace_log_marginal(model, theta, approx=approx), approx
 
     grid = adapt_quadrature(log_post, model.theta_start(), num_quad)
@@ -971,6 +1089,8 @@ def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np
     :class:`GaussianPencil` points share W only at the pencil's kappa0, so a
     fit with kappa fixed pays one O(len(xs) k^2) product per call and
     O(len(xs) k) per point; other fits pay the product at every point.
+    The SD is the centred sqrt(sum_j w_j (v_j + (mu_j - mean)^2)), so it
+    holds where the curve sits far from zero.
     """
     _require_order(fit, q)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -986,8 +1106,11 @@ def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np
             squares[id(basis)] = np.square(dev, out=dev)
         var[:, j] = squares[id(basis)] @ (1.0 / approx.cov_scale)
     mean = mus @ fit.weights
-    sd = np.sqrt(np.maximum((var + mus**2) @ fit.weights - mean**2, 0.0))
-    return mean, sd
+    # centred about the mixture mean, which does not cancel where |mean| >> sd
+    mus -= mean[:, None]
+    np.square(mus, out=mus)
+    var += mus
+    return mean, np.sqrt(var @ fit.weights)
 
 
 def condition_number(approx: GaussianApprox) -> float:

@@ -504,9 +504,10 @@ def run_gmm_study(config: GmmConfig) -> RMSEReport:
                 mean, sd = posterior_moments(fit, xs, q)
                 rmse[(method, q)][rep] = np.sqrt(np.mean((mean - truth[q]) ** 2))
                 if rep == config.curve_rep:
+                    columns = (xs, truth[q], mean, sd)
                     curve_rows += [
-                        (method, q, x, t, m, s)
-                        for x, t, m, s in zip(xs, truth[q], mean, sd)
+                        (method, q, *values)
+                        for values in zip(*(col.tolist() for col in columns))
                     ]
 
     medians = {key: float(np.median(vals)) for key, vals in rmse.items()}
@@ -516,11 +517,14 @@ def run_gmm_study(config: GmmConfig) -> RMSEReport:
     }
 
     out = Path(config.out)
+    # Python floats, which write_csv formats without converting numpy scalars
+    rmse_list = {key: vals.tolist() for key, vals in rmse.items()}
+    ratio_list = {key: vals.tolist() for key, vals in ratios.items()}
     write_csv(
         out / "gmm_rmse.csv",
         ["rep", "method", "q", "rmse", "rmse_ratio"],
         [
-            (rep, m, q, rmse[(m, q)][rep], ratios[(m, q)][rep])
+            (rep, m, q, rmse_list[(m, q)][rep], ratio_list[(m, q)][rep])
             for rep in range(config.replications)
             for m in orders
             for q in (0, 1, 2)

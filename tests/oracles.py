@@ -561,6 +561,25 @@ def curve_paths_longdouble(fit, xs, q=0) -> np.ndarray:
     return coefs @ np.hstack([phi, poly]).T
 
 
+def mixture_moments_longdouble(fit, xs, q=0):
+    """Mixture mean and SD of g^(q): each grid point's mean and variance in
+    doubles, as ``posterior_moments`` forms them, combined in extended
+    precision (``np.longdouble``) in the centred form
+    sqrt(sum_j w_j (v_j + (mu_j - mean)^2)).  The means are one product
+    with all the modes, as there: at a curve ~1e6 from zero, per-point
+    products round differently by ~1e-10, 1e-9 of the SD."""
+    design = _curve_design(fit, np.asarray(xs, dtype=float), q)
+    c = design.shape[1]
+    mus = design @ np.column_stack([a.mode[:c] for a in fit.approxes])
+    var = np.column_stack([np.square(design @ a.cov_basis[:c]) @ (1.0 / a.cov_scale)
+                           for a in fit.approxes])
+    w = fit.weights.astype(np.longdouble)
+    mean = mus.astype(np.longdouble) @ w
+    dev = mus.astype(np.longdouble) - mean[:, None]
+    sd = np.sqrt((var.astype(np.longdouble) + dev * dev) @ w)
+    return mean, sd
+
+
 def gaussian_marginal_exact(model: LatentModel, theta=()) -> float:
     """Analytic Gaussian-family marginal: N(y; 0, X Sigma X' + kappa^2 I).
 
@@ -603,26 +622,28 @@ def gaussian_log_marginal_mp(model: LatentModel, theta=(), dps: int = 50) -> flo
     the ``dps``-digit arithmetic (sigma^2 scales D^-1 exactly, where
     ``prior_precision_diag`` rounds D / sigma^2 to doubles).  Both theta-free products are formed once
     per model (:func:`_mp_covariance_parts`); each call then assembles the
-    n x n covariance and factors it, O(n^3) in Python arithmetic, so this is
+    lower triangle of the n x n covariance as lists of rows and factors it
+    row by row with ``mpmath.fdot``, O(n^3) in Python arithmetic, so this is
     meant for n up to about a hundred.
     """
     sigma, kappa = model.split_theta(theta)
-    n = model.n_obs
     spline, rest = _mp_covariance_parts(model, dps)
     with mpmath.workdps(dps):
         s2, k2 = mpmath.mpf(sigma) ** 2, mpmath.mpf(kappa) ** 2
-        cov = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(i + 1):
-                cov[i, j] = cov[j, i] = s2 * spline[i][j] + rest[i][j]
-            cov[i, i] += k2
-        chol = mpmath.cholesky(cov)
+        chol = []  # rows of the lower Cholesky factor (Cholesky-Banachiewicz)
+        for i, (spline_row, rest_row) in enumerate(zip(spline, rest)):
+            row = []
+            for j in range(i):
+                dot = mpmath.fdot(row, chol[j][:j])
+                row.append((s2 * spline_row[j] + rest_row[j] - dot) / chol[j][j])
+            row.append(mpmath.sqrt(s2 * spline_row[i] + rest_row[i] + k2 - mpmath.fdot(row, row)))
+            chol.append(row)
         half = []  # L^-1 y by forward substitution
-        for i, y in enumerate(model.response.tolist()):
-            half.append((y - mpmath.fsum(chol[i, j] * half[j] for j in range(i))) / chol[i, i])
-        log_det = 2 * mpmath.fsum(mpmath.log(chol[i, i]) for i in range(n))
-        quad = mpmath.fsum(v**2 for v in half)
-        val = -(n * mpmath.log(2 * mpmath.pi) + log_det + quad) / 2
+        for row, y in zip(chol, model.response.tolist()):
+            half.append((y - mpmath.fdot(row[:-1], half)) / row[-1])
+        log_det = 2 * mpmath.fsum(mpmath.log(row[-1]) for row in chol)
+        quad = mpmath.fdot(half, half)
+        val = -(model.n_obs * mpmath.log(2 * mpmath.pi) + log_det + quad) / 2
         return float(val + model.log_hyperprior(theta))
 
 

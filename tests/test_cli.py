@@ -155,6 +155,49 @@ def test_fit_fixed_effects_are_order_statistics_of_the_draws(tmp_path, monkeypat
     assert np.all(np.abs(mean - draws.mean(axis=0)) <= 1e-12 * sd)
 
 
+def test_csv_rows_of_python_scalars_write_the_numpy_scalar_bytes(tmp_path, monkeypatch):
+    """The fit command and the gmm study hand ``write_csv`` Python scalars,
+    which it formats without converting each numpy scalar.  Every file they
+    write is byte-identical to the same rows given as numpy scalars."""
+    from osplines import cli, simbench
+
+    real = simbench.write_csv
+    written = []
+
+    def as_numpy(value):
+        if isinstance(value, float):
+            return np.float64(value)
+        return np.int64(value) if isinstance(value, int) else value
+
+    def write(path, header, rows):
+        rows = list(rows)
+        real(path, header, rows)
+        assert not any(isinstance(v, np.generic) for row in rows for v in row)
+        twin = tmp_path / "numpy_scalars.csv"
+        real(twin, header, [[as_numpy(v) for v in row] for row in rows])
+        assert twin.read_bytes() == Path(path).read_bytes(), Path(path).name
+        written.append(Path(path).name)
+
+    monkeypatch.setattr(cli, "write_csv", write)
+    monkeypatch.setattr(simbench, "write_csv", write)
+    data = tmp_path / "counts.csv"
+    write_count_csv(data)
+    assert main([
+        "fit", "--data", str(data), "--x", "day", "--y", "deaths",
+        "--family", "poisson-od", "--order", "3", "--knots", "20",
+        "--psd-h", "7", "--psd-median", "0.6931", "--fixed", "weekday",
+        "--exp-transform", "--deriv", "0,1", "--quad", "3",
+        "--samples", "400", "--seed", "2", "--out", str(tmp_path / "out"),
+    ]) == 0
+    simbench.run_gmm_study(simbench.make_config("gmm", overrides={
+        "replications": 2, "knots": 20, "num_quad": 3, "out": str(tmp_path / "gmm")}))
+    assert sorted(written) == sorted([
+        "curve_q0.csv", "curve_q0_exp.csv", "curve_q1.csv", "curve_q1_exp.csv",
+        "hyperparameters.csv", "fixed_effects.csv",
+        "gmm_rmse.csv", "gmm_summary.csv", "gmm_curves.csv",
+    ])
+
+
 def test_fit_missing_column_exits_3(tmp_path, capsys):
     data = tmp_path / "data.csv"
     write_gaussian_csv(data, n=10)

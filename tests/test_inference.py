@@ -20,6 +20,7 @@ from osplines import (
     build_model,
     condition_number,
     exact_gp_fit,
+    laplace_gradient,
     laplace_log_marginal,
     log_joint,
     max_condition_number,
@@ -29,7 +30,7 @@ from osplines import (
     prior_from_psd,
     sum_coded_design,
 )
-from osplines import KnotSet, inference
+from osplines import KnotSet, aghq, inference
 from osplines.basis import design_matrix, polynomial_design
 from osplines.inference import GaussianApprox
 from oracles import (
@@ -41,6 +42,7 @@ from oracles import (
     gaussian_mode_dense,
     laplace_terms_in_original_coordinates,
     log_joint_scalar,
+    mixture_moments_longdouble,
     newton_mode_dense,
     newton_predicted_gain,
     posterior_function_reference,
@@ -637,6 +639,80 @@ def test_laplace_brute_force_small_counts_close():
     )
 
 
+def count_model(case):
+    """n = 40, k = 10 count models: plain Poisson (d = 1), poisson_od with
+    sigma free (d = 2) or fixed (d = 1), and poisson_od with a fixed effect."""
+    rng = np.random.default_rng(1)
+    n = 40
+    xs = np.linspace(0.0, 10.0, n)
+    ys = rng.poisson(np.exp(1.0 + np.sin(xs / 2.0) + rng.normal(0.0, 0.2, n))).astype(float)
+    basis = OSplineBasis(3, build_equal_knots(0.0, 10.0, 10))
+    family = "poisson" if case == "poisson" else "poisson_od"
+    kwargs = dict(poly_prior_sd=3.0)
+    if case == "sigma fixed":
+        kwargs["sigma_fixed"] = 0.5
+    else:
+        kwargs["sigma_prior"] = ExponentialPrior(1.0)
+    if family == "poisson_od":
+        kwargs["family_hyper_prior"] = ExponentialPrior(rate=math.log(2.0) / 0.2)
+    if case == "fixed effect":
+        kwargs["fixed_design"], _ = sum_coded_design([i % 3 for i in range(n)])
+        kwargs["fixed_prior_sd"] = 1.0
+    return build_model(xs, ys, basis, family, **kwargs)
+
+
+def polished_mode(model, theta):
+    """A second Newton solve from the first one's mode."""
+    return newton_mode(model, theta, init=newton_mode(model, theta).mode)
+
+
+COUNT_CASES = ["poisson", "poisson_od", "sigma fixed", "fixed effect"]
+
+
+@pytest.mark.parametrize("case", COUNT_CASES)
+def test_laplace_gradient_matches_differences_of_the_laplace_marginal(case):
+    """Fourth-order central differences at h = 1e-2 of the Laplace marginal
+    agree with the exact gradient to 1e-6 of its size (their truncation
+    error is at most ~5e-9 here, and shrinks 16-fold as h halves)."""
+    model = count_model(case)
+    theta = model.theta_start() + 0.3
+    grad = laplace_gradient(model, theta, polished_mode(model, theta))
+    assert grad.shape == (len(model.theta_names),)
+
+    def marginal(th):
+        return laplace_log_marginal(model, th, polished_mode(model, th))
+
+    h = 1e-2
+    fd = np.empty_like(grad)
+    for i, e in enumerate(h * np.eye(grad.size)):
+        fd[i] = (8.0 * (marginal(theta + e) - marginal(theta - e))
+                 - (marginal(theta + 2 * e) - marginal(theta - 2 * e))) / (12.0 * h)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+    # with no approximation given, the gradient is read from a fresh solve
+    npt.assert_allclose(laplace_gradient(model, theta), grad, rtol=1e-7)
+
+
+@pytest.mark.parametrize("case", COUNT_CASES)
+def test_mode_tangent_matches_differences_of_the_newton_mode(case):
+    model = count_model(case)
+    theta = model.theta_start() + 0.3
+    tangent = polished_mode(model, theta).tangent
+    assert tangent.shape == (len(model.theta_names), model.latent_dim)
+    h = 1e-5
+    fd = np.array([(polished_mode(model, theta + e).mode - polished_mode(model, theta - e).mode)
+                   / (2.0 * h) for e in h * np.eye(theta.size)])
+    assert np.max(np.abs(tangent - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_only_count_family_approximations_carry_theta_derivatives():
+    model, _ = tiny_gaussian_model(sigma_prior=ExponentialPrior(1.0))
+    theta = model.theta_start()
+    assert newton_mode(model, theta).gradient is None
+    assert newton_mode(model, theta).tangent is None
+    with pytest.raises(InvalidArgumentError):
+        laplace_gradient(model, theta)
+
+
 # ---------------------------------------------------------------------------
 # quadrature fit
 # ---------------------------------------------------------------------------
@@ -714,6 +790,41 @@ def test_newton_search_matches_nelder_mead_reference(monkeypatch, case):
         ref_mean, ref_sd = posterior_moments(ref, xs, q)
         assert np.max(np.abs(mean - ref_mean) / ref_sd) <= tol
         assert np.max(np.abs(sd - ref_sd) / ref_sd) <= tol
+
+
+def test_count_family_search_takes_2d_new_thetas_per_iterate(monkeypatch):
+    """On a poisson_od model (d = 2) every search iterate takes the exact
+    gradient stencil: 2d new thetas, where the value stencil takes 2d^2,
+    and between iterates only the line search's points.  The value stencil
+    is never called."""
+    model = small_od_model()
+    d = len(model.theta_names)
+    calls, stencils = [], []
+    real_adapt, real_stencil = inference.adapt_quadrature, aghq._gradient_stencil
+
+    def adapt(log_post, *args):
+        def counted(theta):
+            calls.append(tuple(theta.tolist()))
+            return log_post(theta)
+        return real_adapt(counted, *args)
+
+    def stencil(*args):
+        before = len(calls)
+        out = real_stencil(*args)
+        stencils.append((before, len(calls)))
+        return out
+
+    monkeypatch.setattr(inference, "adapt_quadrature", adapt)
+    monkeypatch.setattr(aghq, "_gradient_stencil", stencil)
+    monkeypatch.setattr(aghq, "_stencil", None)
+    fit = aghq_fit(model, num_quad=5, num_samples=0)
+    search = calls[: -fit.theta_points.shape[0]]
+    assert len(search) == len(set(search))
+    assert len(stencils) >= 2
+    assert stencils[0][0] == 1  # theta0, whose state shows whether it has a gradient
+    assert all(end - start == 2 * d for start, end in stencils)
+    assert all(nxt - end >= 1 for (_, end), (nxt, _) in zip(stencils, stencils[1:]))
+    assert stencils[-1][1] == len(search)
 
 
 def test_aghq_seed_stability_of_mean_curves(rng):
@@ -1008,6 +1119,30 @@ def small_od_model():
 
 def small_od_fit():
     return aghq_fit(small_od_model(), num_quad=2, num_samples=500, seed=4)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+def test_mixture_sd_holds_far_from_the_origin(offset):
+    """Mixture SDs within 1e-10 of an extended-precision combination of the
+    same per-point moments where the curve sits at ``offset``, ~1e8 of its
+    SD (n = 2000, k = 50, kappa = 0.1, polynomial prior SD 1e8).  The
+    uncentred form sum_j w_j (v_j + mu_j^2) - mean^2 was off by 1.6e-10,
+    1.7e-2 and 1.0 relative at the three offsets (at 1e6 it cancelled to
+    zero)."""
+    n = 2000
+    xs = np.linspace(0.0, 10.0, n)
+    ys = offset + np.sin(xs) + np.random.default_rng(7).normal(0.0, 0.1, n)
+    basis = OSplineBasis(3, build_equal_knots(0.0, 10.0, 50))
+    model = build_model(xs, ys, basis, "gaussian", sigma_prior=ExponentialPrior(1.0),
+                        family_hyper_fixed=0.1, poly_prior_sd=1e8)
+    fit = aghq_fit(model, num_quad=5, num_samples=0)
+    grid = np.linspace(0.1, 9.9, 50)
+    for q in (0, 1):
+        mean, sd = posterior_moments(fit, grid, q)
+        ref_mean, ref_sd = mixture_moments_longdouble(fit, grid, q)
+        # a double holds the mean only to its own rounding, 1e-8 of the SD at 1e6
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-14 * np.max(np.abs(ref_mean))
+        assert np.max(np.abs(sd - ref_sd) / ref_sd) <= 1e-10
 
 
 def test_posterior_function_matches_sample_major_reference():
