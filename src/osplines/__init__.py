@@ -46,6 +46,7 @@ from .inference import (
     newton_mode,
     posterior_function,
     posterior_moments,
+    posterior_paths,
     sum_coded_design,
 )
 from .prior import (

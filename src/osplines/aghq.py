@@ -92,9 +92,12 @@ def adapt_quadrature(log_post, theta0, num_quad: int) -> AdaptedGrid:
     ``log_normconst`` its value.
     Each distinct theta the search requests is evaluated once and only its
     value and gradient kept; every grid point is evaluated afresh and its
-    state returned in ``states``.  Weights are the posterior masses of the grid points
-    (they sum to one); ``log_normconst`` estimates log of the integral of
-    exp(log_post).
+    state returned in ``states``.  A 2-d grid is evaluated in serpentine
+    order (rows in turn, every other row backwards), so each point is
+    evaluated right after a neighbour; points, values and states are
+    returned in ``itertools.product`` order.  Weights are the posterior
+    masses of the grid points (they sum to one); ``log_normconst``
+    estimates log of the integral of exp(log_post).
     """
     theta = np.atleast_1d(np.asarray(theta0, dtype=float))
     d = theta.size
@@ -156,8 +159,15 @@ def adapt_quadrature(log_post, theta0, num_quad: int) -> AdaptedGrid:
     )
     points = theta + np.sqrt(2.0) * z @ chol_cov.T
 
-    values, states = zip(*(log_post(pt) for pt in points))
-    values = np.array(values)
+    # a 2-d grid is solved in serpentine order, every other row walked
+    # backwards, so each point follows a neighbour (the count families start
+    # each Newton solve from the last mode); results stay in product order
+    order = np.arange(len(points))
+    if d == 2:
+        order = np.lexsort((np.where(z_grid[:, 0] % 2, -z_grid[:, 1], z_grid[:, 1]), z_grid[:, 0]))
+    values, states = np.empty(len(points)), [None] * len(points)
+    for i in order:
+        values[i], states[i] = log_post(points[i])
     log_unnorm = values + log_adjust
     log_normconst = float(logsumexp(log_unnorm))
     weights = np.exp(log_unnorm - log_normconst)
@@ -171,5 +181,5 @@ def adapt_quadrature(log_post, theta0, num_quad: int) -> AdaptedGrid:
         log_adjust=log_adjust,
         weights=weights,
         log_normconst=log_normconst,
-        states=list(states),
+        states=states,
     )

@@ -302,7 +302,9 @@ def exact_hierarchical_fit(
 
     ``sigma_prior`` needs a ``log_pdf`` and a ``median`` (used to start the
     optimizer).  Posterior means/SDs of the requested derivatives are exact
-    mixture moments over the quadrature grid.  With ``num_samples > 0`` the
+    mixture moments over the quadrature grid, the SD in the centred form
+    sqrt(sum_j w_j (v_j + (m_j - mean)^2)), which holds where the curve
+    sits far from zero.  With ``num_samples > 0`` the
     joint posterior of all derivative curves is additionally sampled, which
     mirrors the full sampling pipeline of the weight-space fitter.
 
@@ -354,8 +356,8 @@ def exact_hierarchical_fit(
             for qi in derivs
         ])
 
-    mean = np.zeros(kw_cross.shape[0])
-    second = np.zeros(kw_cross.shape[0])
+    point_means = np.empty((sigmas.size, kw_cross.shape[0]))
+    point_vars = np.empty_like(point_means)
     draws = np.empty((num_samples, kw_cross.shape[0]))
     cns = np.empty(sigmas.size)
     row = 0
@@ -364,9 +366,8 @@ def exact_hierarchical_fit(
         eigs = np.linalg.eigvalsh(obs_cov(sigma**2))
         cns[j] = np.inf if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
         mj, half = _condition(chol, alpha, poly_cross + sigma**2 * kw_cross)
-        vj = np.maximum(poly_pred + sigma**2 * kw_pred - np.sum(half**2, axis=0), 0.0)
-        mean += weights[j] * mj
-        second += weights[j] * (vj + mj**2)
+        point_vars[j] = np.maximum(poly_pred + sigma**2 * kw_pred - np.sum(half**2, axis=0), 0.0)
+        point_means[j] = mj
         if counts[j] == 0:
             continue
         post_cov = poly_joint + sigma**2 * kw_joint - half.T @ half
@@ -394,7 +395,9 @@ def exact_hierarchical_fit(
         z = np.random.default_rng([seed, 4, j]).standard_normal((counts[j], post_cov.shape[0]))
         draws[row : row + counts[j]] = mj + z @ lpost.T
         row += counts[j]
-    sd = np.sqrt(np.maximum(second - mean**2, 0.0))
+    # centred about the mixture mean, which does not cancel where |mean| >> sd
+    mean = weights @ point_means
+    sd = np.sqrt(weights @ (point_vars + np.square(point_means - mean)))
 
     blocks = {q: slice(i * npred, (i + 1) * npred) for i, q in enumerate(derivs)}
     return ExactHierarchicalFit(

@@ -16,8 +16,10 @@ Fitting follows the usual route for such models: Newton mode finding with
 step halving at fixed hyperparameters, a Laplace-approximated hyperparameter
 marginal (exact for the Gaussian family), adaptive Gauss-Hermite quadrature
 over the log-transformed hyperparameters, and posterior sampling from the
-resulting Gaussian mixture.  Hyperparameters live on the log scale
-internally with the exact Jacobian applied to their exponential priors.
+resulting Gaussian mixture.  Curve summaries are read off that mixture
+exactly, per cell of the O-spline's Taylor form; only g' e^g is summarized
+from the draws.  Hyperparameters live on the log scale internally with the
+exact Jacobian applied to their exponential priors.
 Every Gaussian fit goes through :class:`GaussianPencil`, which
 diagonalizes the negative Hessian once per fit: each (sigma, kappa) then
 costs O(k) plus a rank-r correction off the start kappa instead of a Newton
@@ -40,10 +42,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import linalg
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr, ndtri
 
 from .aghq import adapt_quadrature
-from .basis import DesignBlock, OSplineBasis, cell_offsets, design_matrix, polynomial_design
+from .basis import _FACT, DesignBlock, OSplineBasis, cell_offsets, design_matrix, polynomial_design
 from .errors import IterationError, NumericError, _require
 from .prior import ExponentialPrior
 
@@ -800,6 +802,12 @@ class PosteriorFit:
         # a model without a family hyperparameter gives None, stored as NaN
         return np.array([self.model.split_theta(t)[1] for t in self.theta_points], dtype=float)
 
+    @cached_property
+    def _mixture_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every grid point's per-cell Taylor-state means and covariances
+        (:func:`_form_mixture_cells`), formed on first read and kept."""
+        return _form_mixture_cells(self)
+
 
 def aghq_fit(
     model: LatentModel,
@@ -875,16 +883,16 @@ def _require_order(fit: PosteriorFit, q: int) -> None:
     _require(0 <= q <= p, f"derivative order {q} exceeds basis order {p}")
 
 
-def _curve_design(fit: PosteriorFit, xs, q: int) -> np.ndarray:
-    p = fit.basis.order
-    phi = design_matrix(fit.basis, xs, q).values
-    poly = polynomial_design(xs, p, q)
-    return np.hstack([phi, poly])
-
-
 # rows summarized at a time: the sorted copy stays at 32 x samples; sampled
 # paths are formed in blocks of as many rows
 _SUMMARY_ROWS = 32
+# (x, grid point) pairs whose moments are formed at a time: 3276 xs at 10
+# grid points, so a block's arrays stay at 256 KB whatever the grid size
+_MOMENT_PAIRS = 1 << 15
+# floats of covariance-basis states formed at a time (4 MB)
+_STATE_FLOATS = 1 << 19
+_QUANTILE_MAX_ITER = 100
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _interval_probs(level: float) -> tuple[float, float]:
@@ -929,39 +937,59 @@ def _taylor_rows(t: np.ndarray, terms: int) -> np.ndarray:
     return out
 
 
-def _cell_states(fit: PosteriorFit) -> np.ndarray:
-    """(k + 2, p + 1, S) Taylor states of the S sampled curves, one per cell
-    of :func:`cell_offsets`: row m < p of cell c holds g^(m)(s_{c-1}) and
-    row p holds g^(p) on the cell, w_c (0 in cells 0 and k + 1).
+def _cell_states(basis: OSplineBasis, coefs: np.ndarray, out: Optional[np.ndarray] = None):
+    """Yield the (p + 1, m) Taylor states of the m curves whose coefficients
+    are the rows of ``coefs`` (k spline weights, then p polynomial
+    coefficients; later columns are not read), one cell of
+    :func:`cell_offsets` at a time, c = 0..k+1: row r < p of cell c holds
+    g^(r)(s_{c-1}) and row p holds g^(p) on the cell, w_c (0 in cells 0 and
+    k + 1).  Given ``out``, (k + 2, p + 1, m), each state is written to
+    ``out[c]`` and kept; otherwise two buffers alternate, and a consumer
+    copies what it keeps before advancing.
 
     At s_0 the basis functions vanish with their first p - 1 derivatives, so
     the state there is the polynomial block's; each later state is the
     Taylor shift of the one before over its cell's width h,
-    a'_m = a_m + sum_{r>m} a_r h^(r-m) / (r-m)!, O(k p^2 S) in all.  The
-    additions to a_m are compensated (Kahan), so the rounding they leave
+    a'_r = a_r + sum_{l>r} a_l h^(l-r) / (l-r)!, O(p^2 m) per cell.  The
+    additions to a_r are compensated (Kahan), so the rounding they leave
     does not grow with k: on posterior draws of a smooth curve at k = 1000,
     whose states are large against the path, the paths stand 2e-15 of
     their scale from an extended-precision sum, and 1.0e-13 without it.
     """
-    basis = fit.basis
     k, p = basis.size, basis.order
-    coefs = fit.samples
-    states = np.zeros((k + 2, p + 1, coefs.shape[0]))
-    start = np.vstack([polynomial_design([basis.region_start], p, m) for m in range(p)])
-    states[0, :p] = start @ coefs[:, k : k + p].T
-    states[1 : k + 1, p] = coefs[:, :k].T
+    m = coefs.shape[0]
+    slots = np.empty((2, p + 1, m)) if out is None else out
+    start = np.vstack([polynomial_design([basis.region_start], p, r) for r in range(p)])
+    np.matmul(start, coefs[:, k : k + p].T, out=slots[0, :p])
+    slots[0, p] = 0.0
     widths = _taylor_rows(np.concatenate(([0.0], basis.knot_set.spacings)), p + 1)
-    lag = np.arange(p + 1) - np.arange(p)[:, None]  # r - m
+    lag = np.arange(p + 1) - np.arange(p)[:, None]  # l - r
     rises = np.where(lag > 0, widths[:, np.maximum(lag, 0)], 0.0)  # (k + 1, p, p + 1)
-    rise, carry = np.empty((p, coefs.shape[0])), np.zeros((p, coefs.shape[0]))
+    rise, carry = np.empty((p, m)), np.zeros((p, m))
+    heads, tails, count = slots[:, :p], slots[:, p], len(slots)
     for c in range(k + 1):
-        here, after = states[c, :p], states[c + 1, :p]
-        np.matmul(rises[c], states[c], out=rise)
+        now, nxt = c % count, (c + 1) % count
+        yield slots[now]
+        np.matmul(rises[c], slots[now], out=rise)
         rise -= carry
-        np.add(here, rise, out=after)
-        np.subtract(after, here, out=carry)
+        np.add(heads[now], rise, out=heads[nxt])
+        np.subtract(heads[nxt], heads[now], out=carry)
         carry -= rise
-    return states
+        tails[nxt] = coefs[:, c] if c < k else 0.0
+    yield slots[(k + 1) % count]
+
+
+def _evaluate_states(states, state_index, taylor, deriv: int) -> np.ndarray:
+    """g^(deriv) at len(taylor) xs from the (cells, p + 1, m) ``states``:
+    row i reads cell ``state_index[i]`` and the Taylor row ``taylor[i]``,
+    sum_{r>=deriv} a_r t^(r-deriv) / (r-deriv)!, one product per run of
+    equal cells."""
+    p = states.shape[1] - 1
+    out = np.empty((taylor.shape[0], states.shape[2]))
+    runs = np.flatnonzero(np.diff(state_index)) + 1
+    for a, b in zip([0, *runs], [*runs, taylor.shape[0]]):
+        np.matmul(taylor[a:b, : p + 1 - deriv], states[state_index[a], deriv:], out=out[a:b])
+    return out
 
 
 def _path_blocks(fit: PosteriorFit, cells: np.ndarray, offsets: np.ndarray, q: int,
@@ -973,31 +1001,29 @@ def _path_blocks(fit: PosteriorFit, cells: np.ndarray, offsets: np.ndarray, q: i
     The xs are visited in order of their cells, so a block spans few cells
     and each x costs p + 1 - q terms of its cell's Taylor state:
     g^(q)(x) = sum_{m>=q} a_m t^(m-q) / (m-q)!, t its offset in the cell.
-    The blocks depend on the xs alone, so every pass over them forms the
-    same bits.
+    The recursion of :func:`_cell_states` advances with the blocks, and only
+    the states of the cells a block uses are kept, so a call holds
+    O(samples) floats per block whatever k is.  The blocks depend on the xs
+    alone, so every pass over them forms the same bits.
     """
-    states = _cell_states(fit)
-    p = fit.basis.order
-    taylor = _taylor_rows(offsets, p + 1)
+    taylor = _taylor_rows(offsets, fit.basis.order + 1)
     order = np.argsort(cells, kind="stable")
-
-    def evaluate(rows, deriv):
-        out = np.empty((rows.size, states.shape[2]))
-        block_cells = cells[rows]
-        runs = np.flatnonzero(np.diff(block_cells)) + 1
-        for a, b in zip([0, *runs], [*runs, rows.size]):
-            np.matmul(taylor[rows[a:b], : p + 1 - deriv], states[block_cells[a], deriv:],
-                      out=out[a:b])
-        return out
-
+    walk = enumerate(_cell_states(fit.basis, fit.samples))
+    at, state = next(walk)
     for start in range(0, cells.size, _SUMMARY_ROWS):
         rows = order[start : start + _SUMMARY_ROWS]
-        paths = evaluate(rows, q)
+        used, index = np.unique(cells[rows], return_inverse=True)
+        states = np.empty((used.size, *state.shape))
+        for i, c in enumerate(used):
+            while at < c:
+                at, state = next(walk)
+            states[i] = state
+        paths = _evaluate_states(states, index, taylor[rows], q)
         if transform == "exp":
             if q == 0:
                 np.exp(paths, out=paths)
             else:
-                paths *= np.exp(evaluate(rows, 0))
+                paths *= np.exp(_evaluate_states(states, index, taylor[rows], 0))
         yield rows, paths
 
 
@@ -1009,13 +1035,178 @@ def _curve_samples(fit: PosteriorFit, xs: np.ndarray, q: int, transform: Optiona
     return paths.T
 
 
+def _shared_bases(approxes: list, per_group: int):
+    """Yield groups of at most ``per_group`` distinct covariance bases, each
+    as [basis, first, stop): the run of consecutive grid points that share
+    it (the pencil's points share W where kappa is fixed).  Each basis is
+    formed afresh by ``form_cov_basis`` when its group is reached."""
+    group = []
+    for j, approx in enumerate(approxes):
+        basis = approx.form_cov_basis()
+        if group and basis is group[-1][0]:
+            group[-1][2] = j + 1
+            continue
+        if len(group) == per_group:
+            yield group
+            group = []
+        group.append([basis, j, j + 1])
+    yield group
+
+
+def _form_mixture_cells(fit: PosteriorFit) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of :func:`cell_offsets`, every grid point's Taylor-state
+    means, (p + 1, k + 2, G), and covariances, (p + 1, p + 1, k + 2, G).
+
+    The means are the states of the modes.  A point's covariance in cell c
+    is A_c diag(1/s) A_c' with A_c the states of the columns of its
+    ``cov_basis`` B and s its ``cov_scale``: the recursion is linear, so it
+    walks B's columns as it walks draws.  Each distinct B is walked once,
+    a few together (up to about ``_STATE_FLOATS`` floats of states), and
+    dropped, so no basis is kept; the entries of A_c diag(1/s) A_c' for
+    every point that shares B are one product with their 1/s.  O(k p^2 m)
+    per distinct basis and per point, m = ``n_coef``.
+    """
+    basis = fit.basis
+    k, p = basis.size, basis.order
+    c, points, m = k + p, len(fit.approxes), fit.approxes[0].cov_scale.size
+    covs = np.empty((p + 1, p + 1, k + 2, points))
+    per_walk = max(1, _STATE_FLOATS // ((k + 2) * (p + 1) * m))
+    per_product = max(1, _STATE_FLOATS // ((p + 1) ** 2 * m))  # cells
+    modes = np.column_stack([approx.mode[:c] for approx in fit.approxes])
+    lead = points  # the modes ride along with the first group's bases
+    for group in _shared_bases(fit.approxes, per_walk):
+        stack = np.hstack([modes[:, :lead]] + [b[:c] for b, _, _ in group])
+        states = np.empty((k + 2, p + 1, stack.shape[1]))
+        for _ in _cell_states(basis, stack.T, out=states):
+            pass
+        if lead:
+            means = states[:, :, :lead].transpose(1, 0, 2).copy()
+        states, lead = states[:, :, lead:], 0
+        for n, (_, first, stop) in enumerate(group):
+            inverse = np.column_stack([1.0 / a.cov_scale for a in fit.approxes[first:stop]])
+            for lo in range(0, k + 2, per_product):
+                block = states[lo : lo + per_product, :, n * m : (n + 1) * m]
+                outer = (block[:, :, None] * block[:, None]).reshape(-1, m) @ inverse
+                covs[:, :, lo : lo + per_product, first:stop] = (
+                    outer.reshape(block.shape[0], p + 1, p + 1, -1).transpose(1, 2, 0, 3))
+    return means, covs
+
+
+def _point_moments(fit: PosteriorFit, xs: np.ndarray, q: int):
+    """Yield (slice into ``xs``, mu, var): each grid point's mean and
+    variance of g^(q), (rows, G), at a block of ``xs``, about
+    ``_MOMENT_PAIRS`` (x, point) pairs at a time.  ``xs`` are checked as
+    :func:`cell_offsets` checks them before any work.
+
+    On a cell both are polynomials in the offset t, read from the fit's
+    per-cell states (:func:`_form_mixture_cells`, formed on the fit's first
+    such call and kept): mu = sum_{i<=p-q} a_{q+i} t^i / i! and
+    var = sum_{i,l<=p-q} C_{q+i,q+l} t^(i+l) / (i! l!) from the states'
+    means a and covariance C, so an x costs O(p) per point at any k.  With
+    no more xs than cells a walk over every cell costs more than the xs
+    themselves, so they take the dense design X instead: mu = X mode and
+    var = (X B)^2 (1/s) for each distinct ``cov_basis`` B, formed afresh
+    and dropped, O(len(xs) k) per distinct basis.
+    """
+    basis = fit.basis
+    if xs.size <= basis.size + 2:
+        design = np.hstack([design_matrix(basis, xs, q).values,
+                            polynomial_design(xs, basis.order, q)])
+        c = design.shape[1]
+        mu = design @ np.column_stack([approx.mode[:c] for approx in fit.approxes])
+        var = np.empty_like(mu)
+        for [(cov_basis, first, stop)] in _shared_bases(fit.approxes, 1):
+            dev = design @ cov_basis[:c]
+            np.square(dev, out=dev)
+            var[:, first:stop] = dev @ np.column_stack(
+                [1.0 / approx.cov_scale for approx in fit.approxes[first:stop]])
+        yield slice(None), mu, var
+        return
+    cells, offsets = cell_offsets(basis, xs)
+    means, covs = fit._mixture_cells
+    terms, points = means.shape[0] - q, means.shape[2]
+    mean_coef = means[q:] / _FACT[:terms, None, None]
+    # the weight of C_{q+i,q+l} in the coefficient of t^d: 1 / (i! l!) where i + l = d
+    degree = np.add.outer(np.arange(terms), np.arange(terms))
+    weight = (np.arange(2 * terms - 1)[:, None, None] == degree) / np.multiply.outer(
+        _FACT[:terms], _FACT[:terms])
+    var_coef = np.tensordot(weight, covs[q:, q:], axes=2)
+    rows = max(1, _MOMENT_PAIRS // points)
+    for start in range(0, cells.size, rows):
+        at = slice(start, start + rows)
+        cell, t = cells[at], offsets[at, None]
+        mu, var = mean_coef[-1][cell], var_coef[-1][cell]
+        for coef in mean_coef[-2::-1]:
+            mu *= t
+            mu += coef[cell]
+        for coef in var_coef[-2::-1]:
+            var *= t
+            var += coef[cell]
+        yield at, mu, np.maximum(var, 0.0, out=var)
+
+
+def _mixture_moments(mu: np.ndarray, var: np.ndarray, weights: np.ndarray):
+    """Mean and SD of each row's Gaussian mixture, the SD in the centred form
+    sqrt(sum_j w_j (v_j + (mu_j - mean)^2)), which does not cancel where
+    |mean| >> SD."""
+    mean = mu @ weights
+    dev = mu - mean[:, None]
+    dev *= dev
+    dev += var
+    return mean, np.sqrt(dev @ weights)
+
+
+def _mixture_quantile(mu: np.ndarray, sd: np.ndarray, weights: np.ndarray, tail: float,
+                      start: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """t with F(t) = sum_j w_j Phi((t - mu_j) / sd_j) = ``tail`` (at most
+    1/2) in each row of the (rows, G) ``mu`` and ``sd``, by Newton from
+    ``start``.
+
+    The root lies between the smallest and largest of the points' own
+    quantiles mu_j + sd_j Phi^-1(tail), and each iterate narrows that
+    bracket; a Newton step that leaves it is replaced by bisection, so every
+    row converges.  F is summed from lower tails, so it carries rounding
+    relative to ``tail``, and a row stops once |F(t) - tail| is within
+    4 eps of ``tail`` or its step is within 4 eps of |t| + ``scale`` (the
+    mixture's SD); a row whose bracket is one value returns it.  Not
+    converging in ``_QUANTILE_MAX_ITER`` iterations raises
+    :class:`IterationError`.
+    """
+    own = mu + sd * ndtri(tail)
+    lo, hi = own.min(axis=1), own.max(axis=1)
+    t = np.clip(start, lo, hi)
+    sd = np.maximum(sd, np.finfo(float).tiny)
+    eps = 4.0 * np.finfo(float).eps
+    active = np.flatnonzero(lo < hi)
+    for _ in range(_QUANTILE_MAX_ITER):
+        if active.size == 0:
+            return t
+        now = t[active]
+        u = (now[:, None] - mu[active]) / sd[active]
+        gap = ndtr(u) @ weights - tail
+        slope = (np.exp(-0.5 * u * u) / sd[active]) @ weights * _INV_SQRT_2PI
+        low, high = lo[active], hi[active]
+        low[gap < 0] = now[gap < 0]
+        high[gap > 0] = now[gap > 0]
+        lo[active], hi[active] = low, high
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = now - gap / slope
+        outside = ~((nxt >= low) & (nxt <= high))
+        nxt[outside] = 0.5 * (low[outside] + high[outside])
+        close = np.abs(gap) <= eps * tail
+        nxt[close] = now[close]
+        t[active] = nxt
+        active = active[~(close | (np.abs(nxt - now) <= eps * (np.abs(nxt) + scale[active])))]
+    raise IterationError(f"mixture quantile at {tail} did not converge at {active.size} xs")
+
+
 @dataclass
 class PosteriorCurve:
     """Pointwise posterior summary of the smooth (or a derivative) on a grid.
 
-    ``samples`` (samples x len(xs)) holds the sampled paths.  It is formed
-    by ``form_samples`` on first read and kept, at O(len(xs) x samples)
-    memory; until then a curve holds O(len(xs)) floats.
+    ``samples`` (samples x len(xs)) holds the fit's draws as paths.  It is
+    formed by ``form_samples`` on first read and kept, at
+    O(len(xs) x samples) memory; until then a curve holds O(len(xs)) floats.
     """
 
     xs: np.ndarray
@@ -1033,6 +1224,23 @@ class PosteriorCurve:
         return self.form_samples()
 
 
+def _curve(fit: PosteriorFit, xs: np.ndarray, q: int, transform: Optional[str], level: float,
+           summaries: tuple) -> PosteriorCurve:
+    """The curve with ``summaries`` (mean, sd, lower, upper) and the fit's
+    draws as its ``samples``, formed on first read."""
+    return PosteriorCurve(xs, q, transform, *summaries, level,
+                          partial(_curve_samples, fit, xs, q, transform))
+
+
+def _check_curve_args(fit: PosteriorFit, q: int, transform: Optional[str], level: float) -> None:
+    _require(transform in (None, "exp"), "transform must be None or 'exp'")
+    _require(transform is None or q in (0, 1),
+             "exp transform is defined for derivative orders 0 and 1")
+    _require(0.0 < level < 1.0, "level must lie in (0, 1)")
+    _require(fit.samples.shape[0] > 0, "fit holds no posterior samples")
+    _require_order(fit, q)
+
+
 def posterior_function(
     fit: PosteriorFit,
     xs,
@@ -1040,77 +1248,103 @@ def posterior_function(
     transform: Optional[str] = None,
     level: float = 0.95,
 ) -> PosteriorCurve:
-    """Evaluate stored latent samples as curves g^(q) on ``xs``.
+    """Posterior summaries of the curve g^(q) on ``xs``, exact under the
+    fitted Gaussian mixture.
+
+    Given the grid, g^(q)(x) is a mixture over the grid points of
+    N(mu_j(x), v_j(x)) with weights w_j (Rue, Martino & Chopin 2009, §3).
+    The mean and SD are the mixture's (as :func:`posterior_moments` gives
+    them), and the interval bounds solve sum_j w_j Phi((t - mu_j) / sd_j) =
+    alpha at the decimal tails of ``level`` (0.025 and 0.975 for 0.95), by
+    safeguarded Newton from the moment-matched start.  ``transform='exp'``
+    reports exp(g) for q = 0: a lognormal mixture, whose mean and SD have
+    closed forms and whose bounds are exp of the plain ones.  For q = 1,
+    g' * exp(g) has no closed form, and that curve alone is the sampled
+    one of :func:`posterior_paths`.  The cost follows k and the grid size,
+    not the number of samples (see :func:`posterior_moments`), and the
+    bounds add a few Newton steps per x, each O(G).  Arguments, ``xs`` included (finite and
+    inside the region), are checked before any curve is evaluated, and the
+    fit must hold samples: every curve's ``samples`` (samples x len(xs))
+    are its draws' paths, formed as :func:`posterior_paths` forms them on
+    first read.
+    """
+    _check_curve_args(fit, q, transform, level)
+    if transform == "exp" and q == 1:
+        return posterior_paths(fit, xs, q, transform, level)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    mean, sd, lower, upper = (np.empty(xs.size) for _ in range(4))
+    tail = _interval_probs(level)[0]
+    z = ndtri(tail)
+    weights = fit.weights
+    for at, mu, var in _point_moments(fit, xs, q):
+        mean[at], sd[at] = _mixture_moments(mu, var, weights)
+        spread = np.sqrt(var)
+        # the upper bound is minus the lower one of -g, so each solve sums lower tails
+        lower[at] = _mixture_quantile(mu, spread, weights, tail, mean[at] + sd[at] * z, sd[at])
+        upper[at] = -_mixture_quantile(-mu, spread, weights, tail, sd[at] * z - mean[at], sd[at])
+        if transform == "exp":  # lognormal means m_j and variances m_j^2 (e^v_j - 1)
+            means = np.exp(mu + 0.5 * var)
+            mean[at], sd[at] = _mixture_moments(means, means * means * np.expm1(var), weights)
+    if transform == "exp":
+        np.exp(lower, out=lower)
+        np.exp(upper, out=upper)
+    return _curve(fit, xs, q, transform, level, (mean, sd, lower, upper))
+
+
+def posterior_paths(
+    fit: PosteriorFit,
+    xs,
+    q: int = 0,
+    transform: Optional[str] = None,
+    level: float = 0.95,
+) -> PosteriorCurve:
+    """Summaries of the fit's sampled curves g^(q) on ``xs``.
 
     ``transform='exp'`` reports exp(g) for q = 0 and g' * exp(g) for q = 1,
     per sample.  Arguments, ``xs`` included (finite and inside the region),
-    are checked before any curve is evaluated.  Each draw is turned once
-    into per-cell Taylor states, O(k p^2) per sample, and each x then costs
-    p + 1 - q terms per sample.  The paths are formed in blocks of a few
-    rows, one contiguous row per x, summarized and dropped, so the call
-    holds O(samples) floats per block and no len(xs) x samples array.
-    Interval endpoints are the exact inverted-CDF order statistics at the
-    decimal tails of ``level`` (0.025 and 0.975 for 0.95), so a monotone
-    transform of the samples maps intervals exactly.  The curve's
+    are checked before any curve is evaluated.  Each draw is turned into
+    per-cell Taylor states, O(k p^2) per sample, and each x then costs
+    p + 1 - q terms per sample; the recursion advances with the xs in
+    order of their cells, keeping only the cells a block of xs uses.  The
+    paths are formed in blocks of a few rows, one contiguous row per x,
+    summarized and dropped, so the call holds O(samples) floats per block
+    and no len(xs) x samples array.  Mean and SD are the samples' (ddof=1),
+    and the interval endpoints are the exact inverted-CDF order statistics
+    at the decimal tails of ``level`` (0.025 and 0.975 for 0.95), so a
+    monotone transform of the samples maps intervals exactly.  The curve's
     ``samples`` (samples x len(xs), a transposed view of x-major rows) are
     formed through the same blocks on first read, so the intervals are
     order statistics of exactly those values.
     """
-    _require(transform in (None, "exp"), "transform must be None or 'exp'")
-    _require(transform is None or q in (0, 1),
-             "exp transform is defined for derivative orders 0 and 1")
-    _require(0.0 < level < 1.0, "level must lie in (0, 1)")
-    _require(fit.samples.shape[0] > 0, "fit holds no posterior samples")
-    _require_order(fit, q)
+    _check_curve_args(fit, q, transform, level)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     cells, offsets = cell_offsets(fit.basis, xs)
     mean, sd, lower, upper = (np.empty(xs.size) for _ in range(4))
     probs = _interval_probs(level)
     for rows, paths in _path_blocks(fit, cells, offsets, q, transform):
         mean[rows], sd[rows], lower[rows], upper[rows] = _row_summaries(paths, *probs)
-    return PosteriorCurve(
-        xs=xs,
-        derivative_order=q,
-        transform=transform,
-        mean=mean,
-        sd=sd,
-        lower=lower,
-        upper=upper,
-        level=level,
-        form_samples=partial(_curve_samples, fit, xs, q, transform),
-    )
+    return _curve(fit, xs, q, transform, level, (mean, sd, lower, upper))
 
 
 def posterior_moments(fit: PosteriorFit, xs, q: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean/SD of g^(q) under the fitted Gaussian mixture (no sampling).
 
-    A grid point's variances are (design B)^2 / s, with B its ``cov_basis``
-    and s its ``cov_scale``.  design x B is formed once per distinct basis:
-    :class:`GaussianPencil` points share W only at the pencil's kappa0, so a
-    fit with kappa fixed pays one O(len(xs) k^2) product per call and
-    O(len(xs) k) per point; other fits pay the product at every point.
-    The SD is the centred sqrt(sum_j w_j (v_j + (mu_j - mean)^2)), so it
-    holds where the curve sits far from zero.
+    Each grid point's mean and variance at x come from per-cell Taylor
+    states of its mode and of the columns of its ``cov_basis``, formed once
+    per fit (O(k p^2 n_coef) per distinct basis, each basis formed afresh
+    and dropped) and kept on it, so a call costs O(p) per x and grid point
+    and holds a fixed number of (x, point) pairs at a time whatever the
+    grid size.  A call with no more xs than knot cells takes the dense
+    design instead, O(len(xs) k n_coef) per distinct basis.  The SD is the
+    centred sqrt(sum_j w_j (v_j + (mu_j - mean)^2)), so it holds where the
+    curve sits far from zero.
     """
     _require_order(fit, q)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    design = _curve_design(fit, xs, q)
-    c = design.shape[1]  # the curve reads the spline and polynomial coefficients only
-    mus = design @ np.column_stack([approx.mode[:c] for approx in fit.approxes])
-    squares = {}  # id(basis) -> (design @ basis)^2; each basis stays alive in its approx
-    var = np.empty_like(mus)
-    for j, approx in enumerate(fit.approxes):
-        basis = approx.cov_basis
-        if id(basis) not in squares:
-            dev = design @ basis[:c]
-            squares[id(basis)] = np.square(dev, out=dev)
-        var[:, j] = squares[id(basis)] @ (1.0 / approx.cov_scale)
-    mean = mus @ fit.weights
-    # centred about the mixture mean, which does not cancel where |mean| >> sd
-    mus -= mean[:, None]
-    np.square(mus, out=mus)
-    var += mus
-    return mean, np.sqrt(var @ fit.weights)
+    mean, sd = np.empty(xs.size), np.empty(xs.size)
+    for at, mu, var in _point_moments(fit, xs, q):
+        mean[at], sd[at] = _mixture_moments(mu, var, fit.weights)
+    return mean, sd
 
 
 def condition_number(approx: GaussianApprox) -> float:

@@ -339,9 +339,10 @@ class BenchResult:
 def run_benchmark_study(config: BenchConfig) -> BenchResult:
     """Time both methods over the n grid and record their conditioning.
 
-    Timings cover the full pipeline (fit, posterior sampling, sample curves
-    for derivative orders 0..2).  A repetition count per cell comes from the
-    config; the first (warm-up) run per cell is discarded.  Numerical
+    Timings cover the full pipeline (fit, posterior sampling, curve
+    summaries for derivative orders 0..2, the O-spline's read off its
+    mixture).  A repetition count per cell comes from the config; the
+    first (warm-up) run per cell is discarded.  Numerical
     failures of the dense comparator are recorded, not raised.
     """
     p = config.order

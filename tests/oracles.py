@@ -38,18 +38,24 @@ from typing import Callable
 import mpmath
 import numpy as np
 from scipy import integrate, linalg, optimize
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, ndtr
 
-from osplines import inference
+from osplines import exact, inference
 from osplines.aghq import AdaptedGrid
-from osplines.basis import _FACT, KnotSet, OSplineBasis, _basis_columns
+from osplines.basis import (
+    _FACT,
+    KnotSet,
+    OSplineBasis,
+    _basis_columns,
+    design_matrix,
+    polynomial_design,
+)
 from osplines.errors import NumericError, _require
 from osplines.exact import IWPKernel, _poly_cov_matrix
 from osplines.inference import (
     GaussianApprox,
     LatentModel,
     PosteriorCurve,
-    _curve_design,
     newton_mode,
 )
 
@@ -515,6 +521,12 @@ def gaussian_mode_dense(model: LatentModel, theta=()):
     return mode, lj + 0.5 * model.latent_dim * math.log(2.0 * math.pi) - 0.5 * log_det
 
 
+def curve_design(fit, xs, q=0) -> np.ndarray:
+    """The dense len(xs) x (k + p) design of g^(q): basis and monomial columns."""
+    p = fit.basis.order
+    return np.hstack([design_matrix(fit.basis, xs, q).values, polynomial_design(xs, p, q)])
+
+
 def posterior_function_reference(fit, xs, q=0, transform=None, level=0.95) -> PosteriorCurve:
     """Sampled curve summaries formed sample-major: paths as samples x len(xs),
     summarized down the columns by ``np.quantile`` (inverted CDF), ``mean``
@@ -522,12 +534,12 @@ def posterior_function_reference(fit, xs, q=0, transform=None, level=0.95) -> Po
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ncoef = fit.model.n_spline + fit.model.n_poly
     coefs = fit.samples[:, :ncoef]
-    paths = coefs @ _curve_design(fit, xs, q).T
+    paths = coefs @ curve_design(fit, xs, q).T
     if transform == "exp":
         if q == 0:
             paths = np.exp(paths)
         else:
-            base = coefs @ _curve_design(fit, xs, 0).T
+            base = coefs @ curve_design(fit, xs, 0).T
             paths = paths * np.exp(base)
     # the decimal tails of the level, rounded once (0.025/0.975 for 0.95)
     tail = (1 - Fraction(str(level))) / 2
@@ -542,8 +554,37 @@ def posterior_function_reference(fit, xs, q=0, transform=None, level=0.95) -> Po
 
 def curve_paths_longdouble(fit, xs, q=0) -> np.ndarray:
     """samples x len(xs) paths g^(q) of the fit's draws, summed in extended
-    precision (``np.longdouble``) over the truncated-power design, itself
-    formed in extended precision from the double knots and xs."""
+    precision (``np.longdouble``) over :func:`curve_design_longdouble`."""
+    coefs = fit.samples[:, : fit.basis.size + fit.basis.order].astype(np.longdouble)
+    return coefs @ curve_design_longdouble(fit, xs, q).T
+
+
+def mixture_moments_longdouble(fit, xs, q=0):
+    """Mixture mean and SD of g^(q): each grid point's mean and variance in
+    doubles, as ``posterior_moments`` forms them (from the per-cell states),
+    combined in extended precision (``np.longdouble``) in the centred form
+    sqrt(sum_j w_j (v_j + (mu_j - mean)^2)).  At a curve ~1e6 from zero the
+    per-point means round by ~1e-10, 1e-8 of the SD, so only the same
+    per-point moments can referee the combination to 1e-10."""
+    mus, var = point_moments(fit, xs, q)
+    w = fit.weights.astype(np.longdouble)
+    mean = mus.astype(np.longdouble) @ w
+    dev = mus.astype(np.longdouble) - mean[:, None]
+    sd = np.sqrt((var.astype(np.longdouble) + dev * dev) @ w)
+    return mean, sd
+
+
+def point_moments(fit, xs, q=0):
+    """(len(xs), G) per-grid-point means and variances of g^(q), as the
+    library forms them for ``posterior_moments``."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    blocks = list(inference._point_moments(fit, xs, q))
+    return (np.vstack([mu for _, mu, _ in blocks]), np.vstack([var for _, _, var in blocks]))
+
+
+def curve_design_longdouble(fit, xs, q=0) -> np.ndarray:
+    """The truncated-power and monomial design of g^(q) in extended
+    precision (``np.longdouble``), formed from the double knots and xs."""
     basis = fit.basis
     p, ks = basis.order, basis.knot_set
     m = p - q
@@ -557,27 +598,56 @@ def curve_paths_longdouble(fit, xs, q=0) -> np.ndarray:
     poly = np.zeros((x.shape[0], p), dtype=np.longdouble)
     for l in range(q, p):
         poly[:, l] = math.factorial(l) // math.factorial(l - q) * x[:, 0] ** (l - q)
-    coefs = fit.samples[:, : basis.size + p].astype(np.longdouble)
-    return coefs @ np.hstack([phi, poly]).T
+    return np.hstack([phi, poly])
 
 
-def mixture_moments_longdouble(fit, xs, q=0):
-    """Mixture mean and SD of g^(q): each grid point's mean and variance in
-    doubles, as ``posterior_moments`` forms them, combined in extended
-    precision (``np.longdouble``) in the centred form
-    sqrt(sum_j w_j (v_j + (mu_j - mean)^2)).  The means are one product
-    with all the modes, as there: at a curve ~1e6 from zero, per-point
-    products round differently by ~1e-10, 1e-9 of the SD."""
-    design = _curve_design(fit, np.asarray(xs, dtype=float), q)
+def point_moments_longdouble(fit, xs, q=0):
+    """(len(xs), G) per-grid-point means and variances of g^(q) in extended
+    precision: the extended-precision design times each point's double mode,
+    and the squares of its product with the double ``cov_basis`` over
+    ``cov_scale``."""
+    design = curve_design_longdouble(fit, xs, q)
+    c = design.shape[1]
+    mus = design @ np.column_stack([a.mode[:c] for a in fit.approxes]).astype(np.longdouble)
+    var = np.column_stack([
+        np.square(design @ a.cov_basis[:c].astype(np.longdouble))
+        @ (1 / a.cov_scale.astype(np.longdouble))
+        for a in fit.approxes])
+    return mus, var
+
+
+def posterior_moments_dense(fit, xs, q=0):
+    """Mixture mean and SD of g^(q) from the dense design X: each point's
+    X mode and (X B)^2 (1/s), with B its ``cov_basis`` and s its
+    ``cov_scale``, combined in doubles in the centred form."""
+    design = curve_design(fit, np.atleast_1d(np.asarray(xs, dtype=float)), q)
     c = design.shape[1]
     mus = design @ np.column_stack([a.mode[:c] for a in fit.approxes])
     var = np.column_stack([np.square(design @ a.cov_basis[:c]) @ (1.0 / a.cov_scale)
                            for a in fit.approxes])
-    w = fit.weights.astype(np.longdouble)
-    mean = mus.astype(np.longdouble) @ w
-    dev = mus.astype(np.longdouble) - mean[:, None]
-    sd = np.sqrt((var.astype(np.longdouble) + dev * dev) @ w)
-    return mean, sd
+    mean = mus @ fit.weights
+    return mean, np.sqrt((var + np.square(mus - mean[:, None])) @ fit.weights)
+
+
+def mixture_cdf_longdouble(mus, var, weights, t):
+    """sum_j w_j Phi((t - mu_j) / sd_j) for each row, summed in extended
+    precision; Phi itself is scipy's ``ndtr`` in doubles."""
+    u = (np.asarray(t, dtype=np.longdouble)[:, None] - mus) / np.sqrt(np.asarray(var, np.longdouble))
+    return ndtr(u.astype(float)).astype(np.longdouble) @ np.asarray(weights, dtype=np.longdouble)
+
+
+def mixture_quantiles_longdouble(mus, var, weights, prob, steps=200):
+    """The ``prob`` quantile of each row's Gaussian mixture, by bisection of
+    :func:`mixture_cdf_longdouble` in extended precision over a bracket of
+    40 SDs about the per-point means."""
+    mus = np.asarray(mus, dtype=np.longdouble)
+    sd = np.sqrt(np.asarray(var, dtype=np.longdouble))
+    lo, hi = np.min(mus - 40 * sd, axis=1), np.max(mus + 40 * sd, axis=1)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        below = mixture_cdf_longdouble(mus, var, weights, mid) < prob
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return (lo + hi) / 2
 
 
 def gaussian_marginal_exact(model: LatentModel, theta=()) -> float:
@@ -706,6 +776,33 @@ def exact_mixture_moments(order, xs, ys, noise_sd, poly_prior_sd, predict_x, der
             second[q] += wgt * (vq + mq**2)
     sds = {q: np.sqrt(np.maximum(second[q] - means[q] ** 2, 0.0)) for q in derivs}
     return means, sds
+
+
+def exact_mixture_moments_longdouble(order, xs, ys, noise_sd, poly_prior_sd, predict_x, derivs,
+                                     sigma_grid, weights):
+    """Mixture means and SDs of ``exact_hierarchical_fit``: each sigma's
+    per-point moments in doubles, formed by the comparator's own steps,
+    combined in extended precision (``np.longdouble``) in the centred form.
+    Returns two dicts keyed by derivative order."""
+    xs, ys, taus = exact._checked_data(order, xs, ys, noise_sd, poly_prior_sd)
+    predict_x = np.asarray(predict_x, dtype=float)
+    kern = IWPKernel(order, 1.0)
+    kw_obs, poly_obs = kern.cov_matrix(xs, xs), _poly_cov_matrix(xs, xs, 0, 0, taus)
+    kw_cross, poly_cross, kw_pred, poly_pred = exact._target_cov(
+        kern, xs, [(x, q) for q in derivs for x in predict_x], taus)
+    mus, var = [], []
+    for sigma in sigma_grid:
+        chol = exact._factor(poly_obs + sigma**2 * kw_obs + noise_sd**2 * np.eye(xs.size))
+        mj, half = exact._condition(chol, linalg.cho_solve(chol, ys),
+                                    poly_cross + sigma**2 * kw_cross)
+        mus.append(mj)
+        var.append(np.maximum(poly_pred + sigma**2 * kw_pred - np.sum(half**2, axis=0), 0.0))
+    w = np.asarray(weights, dtype=np.longdouble)
+    mus, var = np.array(mus, dtype=np.longdouble), np.array(var, dtype=np.longdouble)
+    mean = w @ mus
+    sd = np.sqrt(w @ (var + (mus - mean) ** 2))
+    blocks = {q: slice(i * predict_x.size, (i + 1) * predict_x.size) for i, q in enumerate(derivs)}
+    return {q: mean[b] for q, b in blocks.items()}, {q: sd[b] for q, b in blocks.items()}
 
 
 def fd_hessian(fun, x, step=1e-3):

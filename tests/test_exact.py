@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from osplines import (
+    ExponentialPrior,
     IWPKernel,
     InvalidArgumentError,
     OSplineBasis,
@@ -18,7 +19,7 @@ from osplines import (
     sup_cov_error,
 )
 from osplines import exact
-from oracles import exact_mixture_moments, integrate_cov_oracle
+from oracles import exact_mixture_moments, exact_mixture_moments_longdouble, integrate_cov_oracle
 
 
 def brownian(s, t):
@@ -326,6 +327,27 @@ def hierarchical_case(num_samples):
         **args, sigma_prior=prior, num_quad=7, num_samples=num_samples, seed=4
     )
     return args, fit
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+def test_hierarchical_sd_holds_far_from_the_origin(offset):
+    """Mixture SDs within 1e-10 of an extended-precision combination of the
+    same per-point moments where the curve sits at ``offset``, up to ~4e7
+    of its SD.  The uncentred form sum_j w_j (v_j + m_j^2) - mean^2 was
+    off by 4.7e-12, 4.6e-4 and 1.0 relative at the three offsets."""
+    rng = np.random.default_rng(17)
+    xs = np.linspace(0.0, 10.0, 150)
+    args = dict(
+        order=3, xs=xs, ys=offset + np.sin(xs) + rng.normal(0.0, 0.1, xs.size), noise_sd=0.1,
+        poly_prior_sd=[1e4, 10.0, 10.0], predict_x=np.linspace(0.25, 9.75, 30), derivs=(0, 1),
+    )
+    fit = exact_hierarchical_fit(**args, sigma_prior=ExponentialPrior(1.0), num_quad=5)
+    want_means, want_sds = exact_mixture_moments_longdouble(
+        **args, sigma_grid=fit.sigma_grid, weights=fit.weights)
+    for q in args["derivs"]:
+        mean, sd = fit.moments(q)
+        assert np.max(np.abs(mean - want_means[q])) <= 1e-14 * np.max(np.abs(want_means[q]))
+        assert np.max(np.abs(sd - want_sds[q]) / want_sds[q]) <= 1e-10
 
 
 @pytest.mark.parametrize("num_samples", [0, 400])

@@ -27,6 +27,7 @@ from osplines import (
     newton_mode,
     posterior_function,
     posterior_moments,
+    posterior_paths,
     prior_from_psd,
     sum_coded_design,
 )
@@ -36,16 +37,22 @@ from osplines.inference import GaussianApprox
 from oracles import (
     adapt_quadrature_nelder_mead,
     brute_log_marginal,
+    curve_design,
     curve_paths_longdouble,
     fd_hessian_of_log_joint,
     gaussian_marginal_exact,
     gaussian_mode_dense,
     laplace_terms_in_original_coordinates,
     log_joint_scalar,
+    mixture_cdf_longdouble,
     mixture_moments_longdouble,
+    mixture_quantiles_longdouble,
     newton_mode_dense,
     newton_predicted_gain,
+    point_moments,
+    point_moments_longdouble,
     posterior_function_reference,
+    posterior_moments_dense,
     precision_extremes_mp,
 )
 
@@ -392,7 +399,7 @@ def test_schur_newton_matches_dense_oracle(rng, name):
     xs = np.linspace(knots.region_start, knots.region_end, 41)
     for q in (0, 1):
         mean, sd = posterior_moments(fit, xs, q)
-        design = inference._curve_design(fit, xs, q)
+        design = curve_design(fit, xs, q)
         full = np.zeros((xs.size, model.latent_dim))
         full[:, : design.shape[1]] = design
         ref_mean = full @ ref.mode
@@ -1001,7 +1008,7 @@ def test_posterior_function_intervals_sit_at_the_decimal_tails():
     tails = {0.5: [0.25, 0.75], 0.8: [0.1, 0.9], 0.9: [0.05, 0.95],
              0.95: [0.025, 0.975], 0.99: [0.005, 0.995]}
     for level, probs in tails.items():
-        got = posterior_function(fit, xs, 1, level=level)
+        got = posterior_paths(fit, xs, 1, level=level)
         want = np.quantile(got.samples, probs, axis=0, method="inverted_cdf")
         npt.assert_array_equal(got.lower, want[0])
         npt.assert_array_equal(got.upper, want[1])
@@ -1039,9 +1046,9 @@ def test_posterior_paths_match_the_dense_design(order, knot_set):
     for q in range(order + 1):
         design = np.hstack([design_matrix(basis, xs, q).values, polynomial_design(xs, order, q)])
         want = coefs @ design.T
-        got = posterior_function(fit, xs, q).samples
+        got = posterior_paths(fit, xs, q).samples
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), q
-    npt.assert_array_equal(posterior_function(fit, [knot_set.region_start], order).samples, 0.0)
+    npt.assert_array_equal(posterior_paths(fit, [knot_set.region_start], order).samples, 0.0)
 
 
 def test_posterior_function_xs_layouts():
@@ -1050,11 +1057,11 @@ def test_posterior_function_xs_layouts():
     basis = OSplineBasis(3, build_equal_knots(0.0, 20.0, 40))
     fit = drawn_fit(basis, 300, seed=7)
     grid = np.linspace(0.0, 20.0, 101)  # knots, region ends and cell interiors
-    ref = posterior_function(fit, grid, 1)
+    ref = posterior_paths(fit, grid, 1)
     scale = np.max(np.abs(ref.samples))
     pick = np.random.default_rng(8).permutation(np.repeat(np.arange(grid.size), 3))
     for at in (pick, pick[:1], pick[:0]):
-        got = posterior_function(fit, grid[at], 1)
+        got = posterior_paths(fit, grid[at], 1)
         assert got.samples.shape == (300, at.size)
         assert np.max(np.abs(got.samples - ref.samples[:, at]), initial=0.0) <= 1e-15 * scale
         for name in ("mean", "sd", "lower", "upper"):
@@ -1092,13 +1099,13 @@ def test_posterior_function_forms_no_path_matrix():
     xs = np.random.default_rng(12).uniform(0.0, 20.0, 20_000)
     tracemalloc.start()
     try:
-        curve = posterior_function(fit, xs, 0)
+        curve = posterior_paths(fit, xs, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < xs.size * 3000 * 8 / 4
     assert "samples" not in vars(curve)
-    small = posterior_function(fit, xs[:50], 1)
+    small = posterior_paths(fit, xs[:50], 1)
     first = small.samples
     assert small.samples is first
     assert first.shape == (3000, 50)
@@ -1145,6 +1152,195 @@ def test_mixture_sd_holds_far_from_the_origin(offset):
         assert np.max(np.abs(sd - ref_sd) / ref_sd) <= 1e-10
 
 
+def mixture_case(name, num_samples=3000):
+    """A fit whose mixture has G > 1 points: Gaussian with kappa fixed (the
+    pencil's points share W), kappa free (one basis per point), both with
+    5 fixed effects, and poisson_od (one Newton basis per point)."""
+    if name == "poisson_od":
+        return aghq_fit(small_od_model(), num_quad=3, num_samples=num_samples, seed=4)
+    n = 300
+    xs = np.sort(np.random.default_rng(21).uniform(0.0, 20.0, n))
+    ys = np.sqrt(3.0) * np.sin(xs / 2.0) + np.random.default_rng(22).normal(0.0, 0.8, n)
+    noise = (dict(family_hyper_fixed=0.8) if name == "kappa fixed"
+             else dict(family_hyper_prior=ExponentialPrior(math.log(2.0))))
+    model = build_model(
+        xs, ys, OSplineBasis(3, build_equal_knots(0.0, 20.0, 25)), "gaussian",
+        sigma_prior=prior_from_psd(PSDSpec(h=5.0, order=3), 3.0, 0.01),
+        fixed_design=sum_coded_design(np.arange(n) % 6)[0], fixed_prior_sd=1.0, **noise,
+    )
+    return aghq_fit(model, num_quad=4, num_samples=num_samples, seed=5)
+
+
+def curve_xs(fit):
+    """Few xs (at most one per cell, so the dense design serves them) and
+    many (the per-cell states serve them), knots and region ends included."""
+    ks = fit.basis.knot_set
+    few = np.concatenate(([ks.region_start], ks.knots[::4], [0.37 * ks.region_end]))
+    many = np.linspace(ks.region_start, ks.region_end, 3 * ks.size + 7)
+    assert few.size <= ks.size + 2 < many.size
+    return few, many
+
+
+MIXTURE_CASES = ["kappa fixed", "kappa free", "poisson_od"]
+
+
+@pytest.mark.parametrize("case", MIXTURE_CASES)
+def test_point_moments_match_an_extended_precision_design(case):
+    """Each grid point's mean and variance of g, g' and g'', from the dense
+    design for few xs and from the per-cell states for many, stand within
+    1e-13 of the largest |mean| and 1e-12 of each variance from the
+    extended-precision design's products with the same modes and bases."""
+    fit = mixture_case(case, num_samples=0)
+    for xs in curve_xs(fit):
+        for q in (0, 1, 2):
+            mus, var = point_moments(fit, xs, q)
+            want_mus, want_var = point_moments_longdouble(fit, xs, q)
+            assert mus.shape == var.shape == (xs.size, fit.weights.size)
+            assert np.max(np.abs(mus - want_mus)) <= 1e-13 * np.max(np.abs(want_mus)), q
+            assert np.all(np.abs(var - want_var) <= 1e-12 * want_var), q
+
+
+@pytest.mark.parametrize("case", MIXTURE_CASES)
+def test_posterior_function_bounds_solve_the_mixture_cdf(case):
+    """The curve's mean and SD are posterior_moments', and its bounds solve
+    sum_j w_j Phi((t - mu_j) / sd_j) = alpha at the decimal tails: the
+    mixture CDF summed in extended precision stands within 1e-12 of alpha
+    there, and the bounds within 1e-10 posterior SDs of an extended-precision
+    bisection over the same per-point moments.  Where the curve is fixed
+    (g'' of the order-2 poisson_od fit at the region start) the bounds are
+    its value."""
+    fit = mixture_case(case)
+    for xs in curve_xs(fit):
+        for q in (0, 1, 2):
+            mus, var = point_moments(fit, xs, q)
+            mean, sd = posterior_moments(fit, xs, q)
+            free = sd > 0
+            mus, var = mus[free], var[free]
+            for level, probs in ((0.5, (0.25, 0.75)), (0.95, (0.025, 0.975)),
+                                 (0.99, (0.005, 0.995))):
+                curve = posterior_function(fit, xs, q, level=level)
+                assert np.all(np.abs(curve.mean - mean) <= 1e-12 * sd)
+                assert np.all(np.abs(curve.sd - sd) <= 1e-12 * sd)
+                for bound, prob in zip((curve.lower, curve.upper), probs):
+                    npt.assert_array_equal(bound[~free], mean[~free])
+                    cdf = mixture_cdf_longdouble(mus, var, fit.weights, bound[free])
+                    assert np.max(np.abs(cdf - prob)) <= 1e-12, (q, level)
+                    want = mixture_quantiles_longdouble(mus, var, fit.weights, prob)
+                    assert np.max(np.abs(bound[free] - want) / sd[free]) <= 1e-10, (q, level)
+
+
+@pytest.mark.parametrize("case", MIXTURE_CASES)
+def test_exp_curve_at_q0_is_the_lognormal_mixture(case):
+    """Under exp at q = 0 the bounds are exp of the plain ones, and mean and
+    SD the lognormal mixture's, sum_j w_j e^(mu_j + v_j / 2) and the centred
+    spread about it, within 1e-12 of their extended-precision values."""
+    fit = mixture_case(case)
+    for xs in curve_xs(fit):
+        plain = posterior_function(fit, xs, 0)
+        curve = posterior_function(fit, xs, 0, transform="exp")
+        npt.assert_allclose(curve.lower, np.exp(plain.lower), rtol=1e-12)
+        npt.assert_allclose(curve.upper, np.exp(plain.upper), rtol=1e-12)
+        mus, var = (v.astype(np.longdouble) for v in point_moments(fit, xs, 0))
+        w = fit.weights.astype(np.longdouble)
+        means = np.exp(mus + var / 2)
+        mean = means @ w
+        sd = np.sqrt((means**2 * np.expm1(var) + (means - mean[:, None]) ** 2) @ w)
+        assert np.max(np.abs(curve.mean - mean) / mean) <= 1e-12
+        assert np.max(np.abs(curve.sd - sd) / sd) <= 1e-12
+
+
+@pytest.mark.parametrize("case", MIXTURE_CASES)
+def test_sampled_and_exact_curves_differ_by_monte_carlo_error(case):
+    """With 3000 draws, the sampled curves of posterior_paths stand from the
+    exact ones by Monte Carlo error: means within 5 standard errors, bounds
+    within 0.5 posterior SDs, for every curve posterior_function computes
+    exactly; exp at q = 1 is the sampled curve itself."""
+    fit = mixture_case(case)
+    _, xs = curve_xs(fit)
+    for q, transform in ((0, None), (1, None), (2, None), (0, "exp")):
+        exact = posterior_function(fit, xs, q, transform=transform)
+        sampled = posterior_paths(fit, xs, q, transform=transform)
+        assert np.all(np.abs(sampled.mean - exact.mean) <= 5.0 * exact.sd / math.sqrt(3000))
+        for name in ("lower", "upper"):
+            assert np.all(np.abs(getattr(sampled, name) - getattr(exact, name)) <= 0.5 * exact.sd)
+        npt.assert_array_equal(exact.samples, sampled.samples)
+    chain = posterior_function(fit, xs, 1, transform="exp")
+    for name in ("mean", "sd", "lower", "upper", "samples"):
+        npt.assert_array_equal(getattr(chain, name),
+                               getattr(posterior_paths(fit, xs, 1, transform="exp"), name))
+
+
+def test_posterior_function_xs_layouts_give_the_same_summaries():
+    """Unsorted, repeated, single and empty xs give the summaries of the
+    same xs in sorted order, through the per-cell states and the design."""
+    fit = mixture_case("kappa free", num_samples=10)
+    grid = np.linspace(0.0, 20.0, 101)
+    ref = posterior_function(fit, grid, 1)
+    pick = np.random.default_rng(8).permutation(np.repeat(np.arange(grid.size), 3))
+    for at in (pick, pick[:27], pick[:1], pick[:0]):
+        got = posterior_function(fit, grid[at], 1)
+        for name in ("mean", "sd", "lower", "upper"):
+            npt.assert_allclose(getattr(got, name), getattr(ref, name)[at],
+                                rtol=0, atol=1e-12 * np.max(ref.sd))
+
+
+def kappa_free_gaussian_fit(n, num_quad):
+    x = np.linspace(0.0, 20.0, n)
+    y = np.sqrt(3.0) * np.sin(x / 2.0) + np.random.default_rng(5).standard_normal(n)
+    model = build_model(
+        x, y, OSplineBasis(3, build_equal_knots(0.0, 20.0, 100)), "gaussian",
+        sigma_prior=prior_from_psd(PSDSpec(h=5.0, order=3), 3.0, 0.01),
+        family_hyper_prior=ExponentialPrior(math.log(2.0)),
+    )
+    return x, aghq_fit(model, num_quad=num_quad, num_samples=0)
+
+
+def test_posterior_moments_memory_does_not_follow_the_grid():
+    """With kappa free at n = 2e4, k = 100, posterior_moments peaks under
+    50 MB whether the grid has 25 or 100 points (one covariance basis per
+    point): the bases are walked a few at a time and dropped, and the xs
+    visited in blocks of a fixed number of (x, point) pairs.  Holding a
+    len(xs) x k square per point took 1.6 GB here.  The moments agree with
+    the dense design's products at offset 0 to 1e-9."""
+    import tracemalloc
+
+    peaks = []
+    for num_quad in (5, 10):
+        x, fit = kappa_free_gaussian_fit(20_000, num_quad)
+        tracemalloc.start()
+        try:
+            mean, sd = posterior_moments(fit, x, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+        want_mean, want_sd = posterior_moments_dense(fit, x[::40], 0)
+        assert np.max(np.abs(mean[::40] - want_mean) / want_sd) <= 1e-9
+        assert np.max(np.abs(sd[::40] - want_sd) / want_sd) <= 1e-9
+    assert max(peaks) < 50e6
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_sampled_paths_keep_only_the_cells_in_use():
+    """A 100-x curve at k = 1000 with 3000 samples peaks under 20 MB, its
+    samples read included: the recursion advances with the blocks and keeps
+    only the states of the cells a block uses, where all k + 2 cells' states
+    took 96 MB."""
+    import tracemalloc
+
+    basis = OSplineBasis(3, build_equal_knots(0.0, 20.0, 1000))
+    fit = drawn_fit(basis, 3000, seed=13)
+    xs = np.random.default_rng(14).uniform(0.0, 20.0, 100)
+    tracemalloc.start()
+    try:
+        curve = posterior_paths(fit, xs, 1)
+        assert curve.samples.shape == (3000, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def test_posterior_function_matches_sample_major_reference():
     """Row-major paths and row-block summaries reproduce the sample-major
     np.quantile summaries.  The intervals are exactly the inverted-CDF order
@@ -1157,7 +1353,7 @@ def test_posterior_function_matches_sample_major_reference():
     for fit in fits:
         xs = np.linspace(fit.basis.knot_set.region_start, 1.0, 37)
         for q, transform in cases:
-            got = posterior_function(fit, xs, q, transform=transform)
+            got = posterior_paths(fit, xs, q, transform=transform)
             want = posterior_function_reference(fit, xs, q, transform=transform)
             assert got.samples.shape == want.samples.shape == (fit.samples.shape[0], xs.size)
             assert got.samples.T.flags.c_contiguous  # one contiguous row per x
