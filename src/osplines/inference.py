@@ -33,7 +33,6 @@ work is scheduled.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -45,7 +44,7 @@ from scipy import linalg
 from scipy.special import gammaln, ndtr, ndtri
 
 from .aghq import adapt_quadrature
-from .basis import _FACT, DesignBlock, OSplineBasis, cell_offsets, design_matrix, polynomial_design
+from .basis import _FACT, OSplineBasis, cell_offsets, design_matrix, polynomial_design
 from .errors import IterationError, NumericError, _require
 from .prior import ExponentialPrior
 
@@ -71,28 +70,30 @@ def _prior_sds(sd, ncols: int, block: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LatentModel:
-    """Response, likelihood family, design blocks and priors.
+    """Response, likelihood family, locations ``x`` with their O-spline
+    ``basis``, fixed effects and priors; built by :func:`build_model`.
 
     Exactly one of ``sigma_prior``/``sigma_fixed`` must be given.  The
     Gaussian family needs a noise SD, either fixed (``family_hyper_fixed``)
     or on the quadrature grid (``family_hyper_prior``); the overdispersed
     Poisson family treats the overdispersion SD the same way.  A scalar prior
     SD is broadcast over its block.  Instances are frozen and hold read-only
-    copies of their arrays, so what is derived from the data at construction
-    (the stacked ``design``, which the blocks view, and the likelihood
-    constant) stays valid.
+    copies of their arrays, so what is derived at construction (the
+    ``design``, which ``fixed_design`` views, and the likelihood constant)
+    stays valid.
 
-    ``design`` is [Phi | P | V], n x ``n_coef``.  For the overdispersed
-    Poisson family the latent vector ends in the n observation effects eps,
-    which enter the linear predictor X a + eps implicitly, so ``latent_dim``
-    is ``n_coef + n`` there and ``n_coef`` otherwise.
+    ``design`` is [Phi | P | V], n x ``n_coef``: the basis functions and the
+    polynomials of order p at ``x``, then the fixed effects; the spline
+    weights' prior precision is the knot spacings over sigma^2.  For the
+    overdispersed Poisson family the latent vector ends in the n observation
+    effects eps, which enter the linear predictor X a + eps implicitly, so
+    ``latent_dim`` is ``n_coef + n`` there and ``n_coef`` otherwise.
     """
 
     response: np.ndarray
     family: str
-    spline_design: DesignBlock
-    poly_design: np.ndarray
-    weight_precision_diag: np.ndarray
+    x: np.ndarray
+    basis: OSplineBasis
     poly_prior_sd: np.ndarray
     sigma_prior: Optional[ExponentialPrior] = None
     sigma_fixed: Optional[float] = None
@@ -100,15 +101,16 @@ class LatentModel:
     fixed_prior_sd: Optional[np.ndarray] = None
     family_hyper_prior: Optional[ExponentialPrior] = None
     family_hyper_fixed: Optional[float] = None
-    basis: Optional[OSplineBasis] = None
     design: np.ndarray = field(init=False, repr=False)
+    # the knot spacings, read once: the prior precision is formed per theta
+    _weight_precision: np.ndarray = field(init=False, repr=False)
     _lik_const: float = field(init=False, repr=False)
     # the theta layout: (slot in split_theta's pair, name, prior) per free hyperparameter
     _free_hypers: tuple = field(init=False, repr=False)
 
     n_obs = property(lambda self: self.response.size)
-    n_spline = property(lambda self: self.spline_design.values.shape[1])
-    n_poly = property(lambda self: self.poly_design.shape[1])
+    n_spline = property(lambda self: self.basis.size)
+    n_poly = property(lambda self: self.basis.order)
     n_fixed = property(lambda self: 0 if self.fixed_design is None else self.fixed_design.shape[1])
     n_coef = property(lambda self: self.design.shape[1])
     latent_dim = property(
@@ -127,17 +129,13 @@ class LatentModel:
         _require(finite.all(), f"non-finite response at observation {np.argmin(finite)}")
         _require(self.family == "gaussian" or not negative.any(),
                  f"negative count at observation {np.argmax(negative)}")
-        blocks = [np.asarray(self.spline_design.values, dtype=float),
-                  np.asarray(self.poly_design, dtype=float)]
+        put("x", _readonly(np.atleast_1d(self.x)))
+        blocks = [design_matrix(self.basis, self.x, 0).values,
+                  polynomial_design(self.x, self.n_poly, 0)]
         if self.fixed_design is not None:
             blocks.append(np.asarray(self.fixed_design, dtype=float))
-        _require(all(b.shape[0] == n for b in blocks), "design block row count != n")
-        put("weight_precision_diag", _readonly(self.weight_precision_diag))
-        _require(
-            self.weight_precision_diag.size == blocks[0].shape[1],
-            "weight precision length != number of basis functions",
-        )
-        put("poly_prior_sd", _prior_sds(self.poly_prior_sd, blocks[1].shape[1], "polynomial"))
+        _require(all(b.shape[0] == n for b in blocks), "x, fixed design and response differ in length")
+        put("poly_prior_sd", _prior_sds(self.poly_prior_sd, self.n_poly, "polynomial"))
         put("fixed_prior_sd", None if self.fixed_design is None
             else _prior_sds(self.fixed_prior_sd, blocks[2].shape[1], "fixed-effect"))
         _require(
@@ -162,11 +160,9 @@ class LatentModel:
         design = np.hstack(blocks)
         design.setflags(write=False)
         put("design", design)
-        k, p = blocks[0].shape[1], blocks[1].shape[1]
-        put("spline_design", dataclasses.replace(self.spline_design, values=design[:, :k]))
-        put("poly_design", design[:, k : k + p])
         if self.fixed_design is not None:
-            put("fixed_design", design[:, k + p : k + p + blocks[2].shape[1]])
+            put("fixed_design", design[:, self.n_spline + self.n_poly :])
+        put("_weight_precision", _readonly(self.basis.knot_set.spacings))
         gaussian = self.family == "gaussian"
         put("_lik_const", -0.5 * n * math.log(2.0 * math.pi) if gaussian
             else -float(np.sum(gammaln(self.response + 1.0))))
@@ -198,7 +194,7 @@ class LatentModel:
                          for (_, _, prior), t in zip(self._free_hypers, self._theta(theta))))
 
     def prior_precision_diag(self, sigma: float, hyper: Optional[float]) -> np.ndarray:
-        parts = [self.weight_precision_diag / sigma**2, 1.0 / self.poly_prior_sd**2]
+        parts = [self._weight_precision / sigma**2, 1.0 / self.poly_prior_sd**2]
         if self.fixed_design is not None:
             parts.append(1.0 / self.fixed_prior_sd**2)
         if self.family == "poisson_od":
@@ -441,8 +437,12 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
     gradient g = X'u - q a and the negative Hessian H = X' diag(curv) X +
     diag(q), factors H once and stops when the step's predicted gain
     g' H^-1 g / 2 (half the squared Newton decrement, which does not depend
-    on the coordinates) is at most ``_NEWTON_TOL`` nats, raising
-    :class:`IterationError` after ``_NEWTON_MAX_ITER`` iterations.  The
+    on the coordinates) is at most ``_NEWTON_TOL`` nats, or, after a step
+    taken whole because its gain was below what the log joint resolves, is
+    no smaller than that step's: the gradient's rounding then floors the
+    gain (eps |y| / kappa^2 for a response far from zero), so further steps
+    are rounding, not progress.  It raises :class:`IterationError` after
+    ``_NEWTON_MAX_ITER`` iterations.  The
     linear predictor of the accepted point carries over to the next
     gradient.  Gaussian fits go through :class:`GaussianPencil`; Newton
     serves that family for direct calls and as the pencil's test reference.
@@ -485,6 +485,7 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
         lj, eta = score(w)
 
     iterations = 0
+    floor = math.inf  # the last predicted gain, where that step was taken whole
     while True:
         u, curv = _lik_grad_curv(model, eta, hyper)
         grad = X.T @ u - q_coef * w[:m]
@@ -504,7 +505,7 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
         else:
             step = _cho_solve(chol, grad)
             gain = 0.5 * float(grad @ step)
-        if gain <= _NEWTON_TOL:
+        if gain <= _NEWTON_TOL or gain >= floor:
             break
         if iterations == _NEWTON_MAX_ITER:
             raise IterationError(
@@ -525,6 +526,7 @@ def newton_mode(model: LatentModel, theta=(), init=None) -> GaussianApprox:
         else:
             raise IterationError(f"line search failed at predicted gain {gain:.3e}")
         w, lj, eta = w_new, lj_new, eta_new
+        floor = gain if whole else math.inf
         iterations += 1
 
     lower = np.tril(chol[0])
@@ -790,7 +792,7 @@ class PosteriorFit:
     seed: int
 
     @property
-    def basis(self) -> Optional[OSplineBasis]:
+    def basis(self) -> OSplineBasis:
         return self.model.basis
 
     @property
@@ -878,7 +880,6 @@ def aghq_fit(
 
 
 def _require_order(fit: PosteriorFit, q: int) -> None:
-    _require(fit.basis is not None, "fit carries no basis metadata for curve evaluation")
     p = fit.basis.order
     _require(0 <= q <= p, f"derivative order {q} exceeds basis order {p}")
 
@@ -892,6 +893,9 @@ _MOMENT_PAIRS = 1 << 15
 # floats of covariance-basis states formed at a time (4 MB)
 _STATE_FLOATS = 1 << 19
 _QUANTILE_MAX_ITER = 100
+# a Newton step on the mixture CDF within this many mixture SDs is taken as
+# the root: convergence is quadratic, so the step's error is about its square
+_QUANTILE_SETTLED = 1e-8
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -1167,8 +1171,10 @@ def _mixture_quantile(mu: np.ndarray, sd: np.ndarray, weights: np.ndarray, tail:
     bracket; a Newton step that leaves it is replaced by bisection, so every
     row converges.  F is summed from lower tails, so it carries rounding
     relative to ``tail``, and a row stops once |F(t) - tail| is within
-    4 eps of ``tail`` or its step is within 4 eps of |t| + ``scale`` (the
-    mixture's SD); a row whose bracket is one value returns it.  Not
+    4 eps of ``tail``, or its step is within 4 eps of |t| + ``scale`` (the
+    mixture's SD), or a Newton step that was not bisected is within
+    ``_QUANTILE_SETTLED`` of ``scale``, which it takes without evaluating F
+    again; a row whose bracket is one value returns it.  Not
     converging in ``_QUANTILE_MAX_ITER`` iterations raises
     :class:`IterationError`.
     """
@@ -1196,7 +1202,10 @@ def _mixture_quantile(mu: np.ndarray, sd: np.ndarray, weights: np.ndarray, tail:
         close = np.abs(gap) <= eps * tail
         nxt[close] = now[close]
         t[active] = nxt
-        active = active[~(close | (np.abs(nxt - now) <= eps * (np.abs(nxt) + scale[active])))]
+        step = np.abs(nxt - now)
+        settled = step <= eps * (np.abs(nxt) + scale[active])
+        settled |= ~outside & (step <= _QUANTILE_SETTLED * scale[active])
+        active = active[~(close | settled)]
     raise IterationError(f"mixture quantile at {tail} did not converge at {active.size} xs")
 
 
@@ -1420,14 +1429,14 @@ def build_model(
     family_hyper_prior: Optional[ExponentialPrior] = None,
     family_hyper_fixed: Optional[float] = None,
 ) -> LatentModel:
-    """Assemble a :class:`LatentModel` from data and a basis."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Assemble a :class:`LatentModel` from data and a basis, whose design at
+    ``x`` and weight precision the model derives; the polynomial prior SD
+    defaults to ``DEFAULT_POLY_PRIOR_SD``."""
     return LatentModel(
         response=y,
         family=family,
-        spline_design=design_matrix(basis, x, 0),
-        poly_design=polynomial_design(x, basis.order, 0),
-        weight_precision_diag=basis.knot_set.spacings,
+        x=x,
+        basis=basis,
         poly_prior_sd=DEFAULT_POLY_PRIOR_SD if poly_prior_sd is None else poly_prior_sd,
         sigma_prior=sigma_prior,
         sigma_fixed=sigma_fixed,
@@ -1435,5 +1444,4 @@ def build_model(
         fixed_prior_sd=fixed_prior_sd,
         family_hyper_prior=family_hyper_prior,
         family_hyper_fixed=family_hyper_fixed,
-        basis=basis,
     )

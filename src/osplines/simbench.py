@@ -67,8 +67,9 @@ class BenchConfig:
     """Runtime/conditioning comparison of O-spline fits vs the dense exact fit.
 
     Each timed repetition runs the full pipeline: quadrature fit, posterior
-    sampling and sample-based curves for derivative orders 0..2 at the data
-    locations.  Condition numbers come from the matrices each method
+    sampling and curve summaries for derivative orders 0..2 at the data
+    locations, the O-spline's read off its fitted mixture and the dense
+    comparator's exact moments beside its joint samples.  Condition numbers come from the matrices each method
     factorizes (latent precision for the weight-space fit, observation
     covariance for the dense comparator).  The weight-space fit's are
     computed outside the timed section; the dense comparator computes its

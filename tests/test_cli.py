@@ -597,6 +597,7 @@ def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "osplines.cli", "psd", "--order", "2", "--h", "2", "--sigma", "1"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(osplines.__file__).parents[1])},
     )
     assert proc.returncode == 0
     assert "psd(2.0)" in proc.stdout

@@ -115,8 +115,7 @@ def test_latent_model_is_frozen_with_readonly_arrays():
         model.response = np.zeros(5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.poly_prior_sd = model.poly_prior_sd * 2.0
-    for array in (model.response, model.design, model.spline_design.values,
-                  model.poly_design, model.poly_prior_sd):
+    for array in (model.response, model.design, model.x, model.poly_prior_sd):
         with pytest.raises(ValueError):
             array[0] = 0.0
     # the caller's response stays writable and is not shared with the model
@@ -138,6 +137,21 @@ def test_scalar_prior_sds_are_broadcast_per_column():
     with pytest.raises(InvalidArgumentError):
         build_model(np.linspace(0.0, 1.0, 5), model.response, basis, "gaussian",
                     sigma_fixed=0.7, family_hyper_fixed=0.4, poly_prior_sd=[1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("x, y, fixed", [
+    pytest.param(np.linspace(0.0, 1.0, 5), np.zeros(4), None, id="response length"),
+    pytest.param(np.linspace(0.0, 1.0, 5), np.zeros(5), np.ones((4, 1)), id="fixed-design rows"),
+    pytest.param(np.linspace(0.0, 1.5, 5), np.zeros(5), None, id="x outside the region"),
+    pytest.param(np.array([0.0, 0.2, np.nan, 0.7, 1.0]), np.zeros(5), None, id="non-finite x"),
+])
+def test_build_model_rejects_inconsistent_inputs(x, y, fixed):
+    """x must be finite and inside the basis region, and the response and
+    the fixed design must have one row per x."""
+    basis = OSplineBasis(2, build_equal_knots(0.0, 1.0, 3))
+    with pytest.raises(InvalidArgumentError):
+        build_model(x, y, basis, "gaussian", sigma_fixed=0.7, family_hyper_fixed=0.4,
+                    fixed_design=fixed, fixed_prior_sd=None if fixed is None else 1.0)
 
 
 def test_theta_layout_drives_names_start_split_and_hyperprior():

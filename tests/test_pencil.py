@@ -207,6 +207,25 @@ def test_pencil_has_no_stopping_rule_to_stall(offset, kappa):
     assert np.isfinite(aghq_fit(model, num_quad=5, num_samples=0).log_marginal)
 
 
+@pytest.mark.parametrize("kappa", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_newton_stops_at_its_rounding_floor(offset, kappa):
+    """n = 400, k = 20, sigma fixed at 1, poly SD 1e7, unit noise fitted
+    with kappa from 1e-2 to 1e-7 and the response offset by up to 1e6.  The
+    gradient's rounding, eps |y| / kappa^2, floors the predicted gain above
+    the 1e-14-nat stop on half of these, where Newton once stepped to its
+    iteration limit and raised.  It now stops once a step taken whole is
+    followed by no smaller gain, within 1e-10 of the pencil's log marginal
+    and 1e-2 posterior SDs of its mode."""
+    model = dataclasses.replace(sine_model(offset=offset, kappa=kappa, poly_sd=1e7),
+                                sigma_prior=None, sigma_fixed=1.0)
+    value, ref = GaussianPencil.from_model(model).log_post(())
+    approx = newton_mode(model)
+    assert laplace_log_marginal(model, (), approx) == pytest.approx(value, rel=1e-10)
+    sd = np.sqrt(np.square(ref.cov_basis) @ (1.0 / ref.cov_scale))
+    assert np.max(np.abs(approx.mode - ref.mode) / sd) <= 1e-2
+
+
 @pytest.mark.parametrize("median", [0.01, 100.0])
 def test_kappa_free_with_its_prior_median_far_from_the_noise_sd(median):
     """Unit noise fitted with kappa free and its prior median, the pencil's
