@@ -20,8 +20,9 @@ resulting Gaussian mixture.  Curve summaries are read off that mixture
 exactly, per cell of the O-spline's Taylor form; only g' e^g is summarized
 from the draws.  Hyperparameters live on the log scale internally with the
 exact Jacobian applied to their exponential priors.
-Every Gaussian fit goes through :class:`GaussianPencil`, which
-diagonalizes the negative Hessian once per fit: each (sigma, kappa) then
+Every Gaussian fit goes through :class:`GaussianPencil`, which reads the
+data once, through one QR per knot cell, and diagonalizes the negative
+Hessian once per fit: each (sigma, kappa) then
 costs O(k) plus a rank-r correction off the start kappa instead of a Newton
 solve (Wood 2011).  Newton serves the count families, whose Laplace
 states carry exact theta-gradients for the hyperparameter search.
@@ -44,7 +45,8 @@ from scipy import linalg
 from scipy.special import gammaln, ndtr, ndtri
 
 from .aghq import adapt_quadrature
-from .basis import _FACT, OSplineBasis, cell_offsets, design_matrix, polynomial_design
+from .basis import (_FACT, OSplineBasis, _basis_columns, _locations, cell_offsets, design_matrix,
+                    polynomial_design)
 from .errors import IterationError, NumericError, _require
 from .prior import ExponentialPrior
 
@@ -78,16 +80,19 @@ class LatentModel:
     or on the quadrature grid (``family_hyper_prior``); the overdispersed
     Poisson family treats the overdispersion SD the same way.  A scalar prior
     SD is broadcast over its block.  Instances are frozen and hold read-only
-    copies of their arrays, so what is derived at construction (the
-    ``design``, which ``fixed_design`` views, and the likelihood constant)
-    stays valid.
+    copies of their arrays, so what is derived from them (the ``design`` and
+    the likelihood constant) stays valid.
 
-    ``design`` is [Phi | P | V], n x ``n_coef``: the basis functions and the
-    polynomials of order p at ``x``, then the fixed effects; the spline
-    weights' prior precision is the knot spacings over sigma^2.  For the
-    overdispersed Poisson family the latent vector ends in the n observation
-    effects eps, which enter the linear predictor X a + eps implicitly, so
-    ``latent_dim`` is ``n_coef + n`` there and ``n_coef`` otherwise.
+    ``design`` is [Phi | P | V], n x ``n_coef`` with ``n_coef`` = k + p +
+    ``n_fixed``: the basis functions and the polynomials of order p at
+    ``x``, then the fixed effects; the spline weights' prior precision is
+    the knot spacings over sigma^2.  It is formed on first read, read-only,
+    and kept: the count families' Newton reads it, while a Gaussian fit
+    reads the data through per-cell statistics (:func:`_cell_statistics`)
+    and never forms it.  For the overdispersed Poisson family the latent
+    vector ends in the n observation effects eps, which enter the linear
+    predictor X a + eps implicitly, so ``latent_dim`` is ``n_coef + n``
+    there and ``n_coef`` otherwise.
     """
 
     response: np.ndarray
@@ -101,7 +106,6 @@ class LatentModel:
     fixed_prior_sd: Optional[np.ndarray] = None
     family_hyper_prior: Optional[ExponentialPrior] = None
     family_hyper_fixed: Optional[float] = None
-    design: np.ndarray = field(init=False, repr=False)
     # the knot spacings, read once: the prior precision is formed per theta
     _weight_precision: np.ndarray = field(init=False, repr=False)
     _lik_const: float = field(init=False, repr=False)
@@ -112,7 +116,7 @@ class LatentModel:
     n_spline = property(lambda self: self.basis.size)
     n_poly = property(lambda self: self.basis.order)
     n_fixed = property(lambda self: 0 if self.fixed_design is None else self.fixed_design.shape[1])
-    n_coef = property(lambda self: self.design.shape[1])
+    n_coef = property(lambda self: self.n_spline + self.n_poly + self.n_fixed)
     latent_dim = property(
         lambda self: self.n_coef + (self.n_obs if self.family == "poisson_od" else 0)
     )
@@ -129,15 +133,15 @@ class LatentModel:
         _require(finite.all(), f"non-finite response at observation {np.argmin(finite)}")
         _require(self.family == "gaussian" or not negative.any(),
                  f"negative count at observation {np.argmax(negative)}")
-        put("x", _readonly(np.atleast_1d(self.x)))
-        blocks = [design_matrix(self.basis, self.x, 0).values,
-                  polynomial_design(self.x, self.n_poly, 0)]
+        put("x", _readonly(_locations(self.basis, self.x)))
         if self.fixed_design is not None:
-            blocks.append(np.asarray(self.fixed_design, dtype=float))
-        _require(all(b.shape[0] == n for b in blocks), "x, fixed design and response differ in length")
+            put("fixed_design", _readonly(self.fixed_design))
+            _require(self.fixed_design.ndim == 2, "the fixed design must be a matrix")
+        _require(self.x.size == n and (self.fixed_design is None or self.fixed_design.shape[0] == n),
+                 "x, fixed design and response differ in length")
         put("poly_prior_sd", _prior_sds(self.poly_prior_sd, self.n_poly, "polynomial"))
         put("fixed_prior_sd", None if self.fixed_design is None
-            else _prior_sds(self.fixed_prior_sd, blocks[2].shape[1], "fixed-effect"))
+            else _prior_sds(self.fixed_prior_sd, self.n_fixed, "fixed-effect"))
         _require(
             (self.sigma_prior is None) != (self.sigma_fixed is None),
             "exactly one of sigma_prior / sigma_fixed is required",
@@ -157,11 +161,6 @@ class LatentModel:
                 "plain Poisson has no family hyperparameter",
             )
 
-        design = np.hstack(blocks)
-        design.setflags(write=False)
-        put("design", design)
-        if self.fixed_design is not None:
-            put("fixed_design", design[:, self.n_spline + self.n_poly :])
         put("_weight_precision", _readonly(self.basis.knot_set.spacings))
         gaussian = self.family == "gaussian"
         put("_lik_const", -0.5 * n * math.log(2.0 * math.pi) if gaussian
@@ -169,6 +168,16 @@ class LatentModel:
         slots = ((0, "log_sigma", self.sigma_prior),
                  (1, "log_kappa" if gaussian else "log_phi", self.family_hyper_prior))
         put("_free_hypers", tuple(s for s in slots if s[2] is not None))
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        blocks = [design_matrix(self.basis, self.x, 0).values,
+                  polynomial_design(self.x, self.n_poly, 0)]
+        if self.fixed_design is not None:
+            blocks.append(self.fixed_design)
+        design = np.hstack(blocks)
+        design.setflags(write=False)
+        return design
 
     # -- hyperparameter bookkeeping -------------------------------------
 
@@ -650,6 +659,116 @@ def _gaussian_precision(lik_hess: np.ndarray, ratio: float, qdiag: np.ndarray) -
     return hess
 
 
+# longest run of one cell's rows that one QR triangularizes, and floats of
+# rows per batched QR call (4 MB)
+_QR_ROWS = 256
+_QR_FLOATS = 1 << 19
+
+
+def _triangularize(cells: np.ndarray, rows: np.ndarray):
+    """Replace each run of rows of one cell by the R of its QR.
+
+    ``cells`` is sorted and ``rows`` is (len(cells), w).  A cell's rows are
+    cut into runs of at most twice the mean rows per cell (at least w, at
+    most ``_QR_ROWS``), so padding costs at most as many rows as the data.
+    The runs are zero-padded and factored by batched ``np.linalg.qr``,
+    about ``_QR_FLOATS`` floats at a time.  A padded row leaves every
+    Householder reflection untouched, so the R rows past a run's length
+    are exactly zero; they are dropped.  Returns the cells and rows kept
+    (each run's leading min(length, w) R rows) and each run's cell.
+    """
+    n, w = rows.shape
+    counts = np.bincount(cells)
+    height = min(_QR_ROWS, max(w, 2 * -(-n // np.count_nonzero(counts))))
+    pos = np.arange(n) - (np.cumsum(counts) - counts)[cells]
+    starts = pos % height == 0
+    heads, piece = np.flatnonzero(starts), np.cumsum(starts) - 1
+    kept = np.minimum(np.diff(np.append(heads, n)), w)
+    out = np.empty((int(kept.sum()), w))
+    per, at = max(1, _QR_FLOATS // (height * w)), 0
+    for lo in range(0, heads.size, per):
+        sel = slice(heads[lo], heads[lo + per] if lo + per < heads.size else n)
+        buf = np.zeros((min(per, heads.size - lo), height, w))
+        buf[piece[sel] - lo, pos[sel] % height] = rows[sel]
+        r = np.linalg.qr(buf, mode="r")
+        r = r[np.arange(r.shape[1]) < kept[lo : lo + per, None]]
+        out[at : at + r.shape[0]] = r
+        at += r.shape[0]
+    return np.repeat(cells[heads], kept), out, cells[heads]
+
+
+def _cell_statistics(model: LatentModel, shift: float = 0.0):
+    """The Gaussian family's data read through one QR per knot cell:
+    (Z, Q'y, ||y_perp||^2) with Z'Z = X'X, Z'(Q'y) = X'y and
+    ||Q'y||^2 + ||y_perp||^2 = ||y||^2, X = ``model.design`` and y the
+    response less ``shift``; Z has at most min(n, ``n_coef``) rows.
+
+    On cell c of :func:`cell_offsets` a row of X is
+    [tau(t)' S_c | P(x) | v'], tau(t) = (t^m / m!)_{m<=p} at the offset t,
+    P the monomials of the design and v the row's fixed effects.  S_c maps
+    the spline weights to their part of the cell's Taylor state (see
+    :func:`_cell_states`): its rows m < p are the basis' m-th derivatives
+    at the cell's left end, and row p is the unit row of w_c.  The
+    monomials ride along as the design evaluates them, not through their
+    Taylor state: a polynomial block with a wide prior makes the marginal
+    follow their rounding.  A cell's rows [tau' | P | v' | y], r + 1
+    columns with r = 2p + 1 + n_fixed, reduce by QR to a triangle R_c, and
+    Z_c = R_c[:r, :r] blockdiag(S_c, I), its Q'y the last column above row
+    r and its y_perp the entry in that row (:func:`_triangularize`, in
+    blocks of about ``_QR_FLOATS`` floats of data; a cell's triangles are
+    stacked and reduced again until it has one).  A cell with at most r
+    rows would not shrink, so its rows enter as the design's own.  Where
+    the stacked rows outnumber the columns, one QR of them leaves Z
+    triangular, whose products round less than the stacked rows' do.
+    O(n r^2 + k r n_coef^2) work, and no n x k array beyond the rows of
+    cells that hold at most r points.
+    """
+    basis, p, k, m = model.basis, model.n_poly, model.n_spline, model.n_coef
+    cells, offsets = cell_offsets(basis, model.x)
+    fixed = np.empty((model.n_obs, 0)) if model.fixed_design is None else model.fixed_design
+    y = model.response - shift
+    r = 2 * p + 1 + fixed.shape[1]
+    few = np.bincount(cells)[cells] <= r
+    Z, qty, perp = [], [], 0.0
+    if few.any():
+        own = np.flatnonzero(few)
+        Z.append(np.hstack([design_matrix(basis, model.x[own], 0).values,
+                            polynomial_design(model.x[own], p), fixed[own]]))
+        qty.append(y[own])
+    order = np.flatnonzero(~few)
+    if order.size:
+        order = order[np.argsort(cells[order], kind="stable")]
+        blocks, step = [], max(1, _QR_FLOATS // (r + 1))
+        for lo in range(0, order.size, step):
+            at = order[lo : lo + step]
+            rows = np.hstack([_taylor_rows(offsets[at], p + 1), polynomial_design(model.x[at], p),
+                              fixed[at], y[at, None]])
+            blocks.append(_triangularize(cells[at], rows))
+        cell, rows, heads = (np.concatenate(parts) for parts in zip(*blocks))
+        while np.any(np.diff(heads) == 0):  # some cell still has several triangles
+            cell, rows, heads = _triangularize(cell, rows)
+        counts = np.bincount(cell)
+        index = np.arange(cell.size) - (np.cumsum(counts) - counts)[cell]  # row of its R
+        perp = float(np.sum(np.square(rows[index == r, r])))
+        rows, cell = rows[index < r], cell[index < r]
+        used, inverse = np.unique(cell, return_inverse=True)
+        ks = basis.knot_set
+        left = np.concatenate(([ks.region_start, ks.region_start], ks.knots))[used]
+        z = np.zeros((rows.shape[0], m))
+        for d in range(p):
+            z[:, :k] += rows[:, d, None] * _basis_columns(basis, left, d)[inverse]
+        inner = (cell >= 1) & (cell <= k)  # the cells with a weight of their own
+        z[np.flatnonzero(inner), cell[inner] - 1] += rows[inner, p]
+        z[:, k:] = rows[:, p + 1 : r]
+        Z.append(z)
+        qty.append(rows[:, r])
+    Z, qty = np.vstack(Z), np.concatenate(qty)
+    if Z.shape[0] <= m:  # a QR would not shrink them
+        return Z, qty, perp
+    tri = np.linalg.qr(np.column_stack([Z, qty]), mode="r")
+    return tri[:m, :m], tri[:m, m], perp + float(tri[m, m] ** 2)
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianPencil:
     """The Gaussian family's exact posterior at every (sigma, kappa), from one
@@ -669,17 +788,23 @@ class GaussianPencil:
     w0's, z = u' gx - s f - gp with gx = W' X' r0 / kappa0^2, f = W' B w0,
     gp = W' P w0 and r0 = y - X w0 formed once, so nothing cancels when the
     response sits far from zero; w0 is the mode at the start theta, reached
-    by two pencil steps with no stopping rule.  L = L1 L2: L1 factors C as
-    formed from the floating-point X'X, L2 factors L1^-1 C L1^-T with X'X
-    taken through X itself, so W diagonalizes H to rounding at every s.
+    by two pencil steps with no stopping rule.  The data enter only through
+    the per-cell statistics (Z, Q'y, ||y_perp||^2) of :func:`_cell_statistics`,
+    with X'X = Z'Z and ||r0||^2 = ||Q'y - Z w0||^2 + ||y_perp||^2, so the
+    residuals keep their accuracy without an n-row product.  L = L1 L2:
+    L1 factors C as formed from the floating-point Z'Z, L2 factors
+    L1^-1 C L1^-T with Z'Z taken through Z itself, so W diagonalizes H to
+    rounding at every s.
 
     :meth:`log_post` costs O(k) at kappa = kappa0 (c = 0 exactly, as at
     every point when kappa is fixed), O(k r^2) elsewhere, and O(k^2) for
-    the mode, after O(n k^2 + k^3) of set-up.  At c = 0 the covariance basis
-    is the ``W`` every such point shares, with scale D; elsewhere it is
-    W D^-1/2 F with scale 1, F = (I + c N N')^-1/2, N = D^-1/2 M, formed on
-    first read at O(k^2 r), and the precision u' ``lik_hess`` + diag(q) on
-    read.  The mode is exact: zero Newton iterations, predicted gain 0.
+    the mode, after set-up: O(n p^2) for the statistics and O(k^3) for the
+    rest, no n x k array.  At c = 0 the covariance basis is the ``W`` every
+    such point shares, with scale D; elsewhere it is W D^-1/2 F with scale
+    1, F = (I + c N N')^-1/2, N = D^-1/2 M, formed on first read at
+    O(k^2 r), and the precision u' ``lik_hess`` + diag(q) on read, from
+    the model's design (formed then, if not before).  The mode is exact:
+    zero Newton iterations, predicted gain 0.
     """
 
     model: LatentModel
@@ -691,23 +816,35 @@ class GaussianPencil:
     f: np.ndarray
     gp: np.ndarray
     kappa0: float
-    lik_hess: np.ndarray  # X'X / kappa0^2, formed as newton_mode forms it
     log_det_c: float
     rss: float  # ||r0||^2
 
+    @cached_property
+    def lik_hess(self) -> np.ndarray:
+        """X'X / kappa0^2 from the design, formed as newton_mode forms it."""
+        X = self.model.design
+        return _readonly((X.T * (1.0 / self.kappa0**2)) @ X)
+
     @classmethod
     def from_model(cls, model: LatentModel) -> "GaussianPencil":
-        """Set up at ``model.theta_start()``; a C not positive definite raises NumericError."""
+        """Set up at ``model.theta_start()`` from the per-cell statistics of
+        the response less its mean, which the reference carries on the
+        intercept; the Choleskys, eigendecomposition, reference steps and
+        residuals run on Z, at most n_coef rows.  A C not positive definite
+        raises NumericError."""
         _require(model.family == "gaussian", "the pencil needs a Gaussian model")
-        X, y, k = model.design, model.response, model.n_spline
+        # the response enters less its mean, which the constant column carries
+        # exactly, so the compressed residuals hold no rounding of an offset
+        shift = float(np.mean(model.response))
+        Z, y, perp = _cell_statistics(model, shift)
+        k = model.n_spline
         sigma0, kappa0 = model.split_theta(model.theta_start())
         b = model.prior_precision_diag(1.0, kappa0)  # (d, 1/tau^2): the diagonal of B + P
-        lik_hess = (X.T * (1.0 / kappa0**2)) @ X
         try:
-            chol1 = linalg.cholesky(_gaussian_precision(lik_hess, 1.0, b), lower=True)
+            chol1 = linalg.cholesky(_gaussian_precision((Z.T * kappa0**-2) @ Z, 1.0, b), lower=True)
             V = _lower_inverse(chol1).T  # L1^-T
-            xv = X @ V  # V'(C - B)V through X, and V'BV
-            va = xv.T @ xv / kappa0**2 + V[k:].T @ (b[k:, None] * V[k:])
+            zv = Z @ V  # V'(C - B)V through Z, and V'BV
+            va = zv.T @ zv / kappa0**2 + V[k:].T @ (b[k:, None] * V[k:])
             vb = V[:k].T @ (b[:k, None] * V[:k])
             chol2 = linalg.cholesky(va + vb, lower=True)
         except linalg.LinAlgError:
@@ -716,18 +853,21 @@ class GaussianPencil:
         lam, U = np.linalg.eigh(inv2 @ vb @ inv2.T)
         W = V @ (inv2.T @ U)
         q0, s0 = model.prior_precision_diag(sigma0, kappa0), sigma0**-2
-        ref = np.zeros_like(b)
+        start = np.zeros_like(b)
+        start[k] = shift  # the intercept's part of the reference
+        dev = np.zeros_like(b)
         # step 1 lands within W's rounding of the mode, step 2 at the residuals' floor
         for _ in range(2):
-            grad = X.T @ (y - X @ ref) / kappa0**2 - q0 * ref
-            ref = ref + W @ ((W.T @ grad) / (1.0 + (s0 - 1.0) * lam))
-        resid, bw = y - X @ ref, b * ref
+            grad = Z.T @ (y - Z @ dev) / kappa0**2 - q0 * (start + dev)
+            dev = dev + W @ ((W.T @ grad) / (1.0 + (s0 - 1.0) * lam))
+        ref = start + dev
+        resid, bw = y - Z @ dev, b * ref
         return cls(
             model=model, ref=ref, W=W, lam=lam, M=W[k:].T * np.sqrt(b[k:]),
-            gx=W.T @ (X.T @ resid) / kappa0**2, f=W[:k].T @ bw[:k], gp=W[k:].T @ bw[k:],
-            kappa0=kappa0, lik_hess=_readonly(lik_hess),
+            gx=W.T @ (Z.T @ resid) / kappa0**2, f=W[:k].T @ bw[:k], gp=W[k:].T @ bw[k:],
+            kappa0=kappa0,
             log_det_c=2.0 * float(np.sum(np.log(np.diag(chol1))) + np.sum(np.log(np.diag(chol2)))),
-            rss=float(resid @ resid),
+            rss=float(resid @ resid) + perp,
         )
 
     def log_post(self, theta) -> tuple[float, GaussianApprox]:
@@ -897,6 +1037,13 @@ _QUANTILE_MAX_ITER = 100
 # the root: convergence is quadratic, so the step's error is about its square
 _QUANTILE_SETTLED = 1e-8
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# a cell holding more xs than this has its interval bounds solved first at
+# as many first-kind Chebyshev nodes of the offset, and each x there starts
+# its own solve from their interpolant (:func:`_chebyshev_bounds`)
+_CHEB_NODES = 14
+_CHEB_ANGLES = (2.0 * np.arange(_CHEB_NODES) + 1.0) * np.pi / (2.0 * _CHEB_NODES)
+_CHEB_UNIT = 0.5 * (1.0 - np.cos(_CHEB_ANGLES))  # the nodes on [0, 1], ascending
+_CHEB_WEIGHTS = (-1.0) ** np.arange(_CHEB_NODES) * np.sin(_CHEB_ANGLES)  # barycentric
 
 
 def _interval_probs(level: float) -> tuple[float, float]:
@@ -1096,37 +1243,50 @@ def _form_mixture_cells(fit: PosteriorFit) -> tuple[np.ndarray, np.ndarray]:
     return means, covs
 
 
-def _point_moments(fit: PosteriorFit, xs: np.ndarray, q: int):
+def _point_moments(fit: PosteriorFit, xs: np.ndarray, q: int, located=None):
     """Yield (slice into ``xs``, mu, var): each grid point's mean and
     variance of g^(q), (rows, G), at a block of ``xs``, about
     ``_MOMENT_PAIRS`` (x, point) pairs at a time.  ``xs`` are checked as
-    :func:`cell_offsets` checks them before any work.
+    :func:`cell_offsets` checks them before any work; ``located`` is their
+    (cells, offsets) where the caller has them.
 
     On a cell both are polynomials in the offset t, read from the fit's
-    per-cell states (:func:`_form_mixture_cells`, formed on the fit's first
-    such call and kept): mu = sum_{i<=p-q} a_{q+i} t^i / i! and
-    var = sum_{i,l<=p-q} C_{q+i,q+l} t^(i+l) / (i! l!) from the states'
-    means a and covariance C, so an x costs O(p) per point at any k.  With
-    no more xs than cells a walk over every cell costs more than the xs
-    themselves, so they take the dense design X instead: mu = X mode and
-    var = (X B)^2 (1/s) for each distinct ``cov_basis`` B, formed afresh
-    and dropped, O(len(xs) k) per distinct basis.
+    per-cell states (:func:`_state_moments`), so an x costs O(p) per point
+    at any k.  With no more xs than cells a walk over every cell costs more
+    than the xs themselves, so they take the dense design instead
+    (:func:`_design_moments`).
     """
     basis = fit.basis
     if xs.size <= basis.size + 2:
-        design = np.hstack([design_matrix(basis, xs, q).values,
-                            polynomial_design(xs, basis.order, q)])
-        c = design.shape[1]
-        mu = design @ np.column_stack([approx.mode[:c] for approx in fit.approxes])
-        var = np.empty_like(mu)
-        for [(cov_basis, first, stop)] in _shared_bases(fit.approxes, 1):
-            dev = design @ cov_basis[:c]
-            np.square(dev, out=dev)
-            var[:, first:stop] = dev @ np.column_stack(
-                [1.0 / approx.cov_scale for approx in fit.approxes[first:stop]])
-        yield slice(None), mu, var
-        return
-    cells, offsets = cell_offsets(basis, xs)
+        yield _design_moments(fit, xs, q)
+    else:
+        yield from _state_moments(fit, *(located or cell_offsets(basis, xs)), q)
+
+
+def _design_moments(fit: PosteriorFit, xs: np.ndarray, q: int):
+    """(slice(None), mu, var) at ``xs`` from the dense design X of g^(q):
+    mu = X mode and var = (X B)^2 (1/s) for each distinct ``cov_basis`` B,
+    formed afresh and dropped, O(len(xs) k) per distinct basis."""
+    basis = fit.basis
+    design = np.hstack([design_matrix(basis, xs, q).values, polynomial_design(xs, basis.order, q)])
+    c = design.shape[1]
+    mu = design @ np.column_stack([approx.mode[:c] for approx in fit.approxes])
+    var = np.empty_like(mu)
+    for [(cov_basis, first, stop)] in _shared_bases(fit.approxes, 1):
+        dev = design @ cov_basis[:c]
+        np.square(dev, out=dev)
+        var[:, first:stop] = dev @ np.column_stack(
+            [1.0 / approx.cov_scale for approx in fit.approxes[first:stop]])
+    return slice(None), mu, var
+
+
+def _state_moments(fit: PosteriorFit, cells: np.ndarray, offsets: np.ndarray, q: int):
+    """Yield (slice, mu, var) at the locations with :func:`cell_offsets`
+    ``cells`` and ``offsets``, from the fit's per-cell states
+    (:func:`_form_mixture_cells`, formed on the fit's first such call and
+    kept): mu = sum_{i<=p-q} a_{q+i} t^i / i! and
+    var = sum_{i,l<=p-q} C_{q+i,q+l} t^(i+l) / (i! l!) from the states'
+    means a and covariance C."""
     means, covs = fit._mixture_cells
     terms, points = means.shape[0] - q, means.shape[2]
     mean_coef = means[q:] / _FACT[:terms, None, None]
@@ -1160,6 +1320,20 @@ def _mixture_moments(mu: np.ndarray, var: np.ndarray, weights: np.ndarray):
     return mean, np.sqrt(dev @ weights)
 
 
+def _cdf_pass(mu: np.ndarray, sd: np.ndarray, weights: np.ndarray, tail: float, t: np.ndarray):
+    """F(t) - ``tail`` and F'(t) of each row's mixture
+    F(t) = sum_j w_j Phi((t - mu_j) / sd_j), on two (rows, G) buffers."""
+    u = t[:, None] - mu
+    u /= sd
+    buf = ndtr(u)
+    gap = buf @ weights - tail
+    np.multiply(u, -0.5, out=buf)
+    buf *= u
+    np.exp(buf, out=buf)
+    buf /= sd
+    return gap, buf @ weights * _INV_SQRT_2PI
+
+
 def _mixture_quantile(mu: np.ndarray, sd: np.ndarray, weights: np.ndarray, tail: float,
                       start: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """t with F(t) = sum_j w_j Phi((t - mu_j) / sd_j) = ``tail`` (at most
@@ -1176,7 +1350,10 @@ def _mixture_quantile(mu: np.ndarray, sd: np.ndarray, weights: np.ndarray, tail:
     ``_QUANTILE_SETTLED`` of ``scale``, which it takes without evaluating F
     again; a row whose bracket is one value returns it.  Not
     converging in ``_QUANTILE_MAX_ITER`` iterations raises
-    :class:`IterationError`.
+    :class:`IterationError`.  A start within ``_QUANTILE_SETTLED`` ``scale``
+    of the root (a Chebyshev interpolant's, 5e-14 to 4e-10 SDs off, see
+    :func:`posterior_function`) settles in one pass; :func:`_polish` takes that pass without forming
+    the bracket, and only a row it leaves unsettled comes here.
     """
     own = mu + sd * ndtri(tail)
     lo, hi = own.min(axis=1), own.max(axis=1)
@@ -1188,9 +1365,10 @@ def _mixture_quantile(mu: np.ndarray, sd: np.ndarray, weights: np.ndarray, tail:
         if active.size == 0:
             return t
         now = t[active]
-        u = (now[:, None] - mu[active]) / sd[active]
-        gap = ndtr(u) @ weights - tail
-        slope = (np.exp(-0.5 * u * u) / sd[active]) @ weights * _INV_SQRT_2PI
+        if active.size == t.size:
+            gap, slope = _cdf_pass(mu, sd, weights, tail, now)
+        else:
+            gap, slope = _cdf_pass(mu[active], sd[active], weights, tail, now)
         low, high = lo[active], hi[active]
         low[gap < 0] = now[gap < 0]
         high[gap > 0] = now[gap > 0]
@@ -1207,6 +1385,101 @@ def _mixture_quantile(mu: np.ndarray, sd: np.ndarray, weights: np.ndarray, tail:
         settled |= ~outside & (step <= _QUANTILE_SETTLED * scale[active])
         active = active[~(close | settled)]
     raise IterationError(f"mixture quantile at {tail} did not converge at {active.size} xs")
+
+
+def _mixture_bounds(mu: np.ndarray, var: np.ndarray, weights: np.ndarray, tail: float,
+                    mean: np.ndarray, sd: np.ndarray, starts=None):
+    """The lower and upper bounds, at tails ``tail`` and 1 - ``tail``, of
+    each row's mixture (``mean`` and ``sd`` its moments).  The upper bound
+    is minus the lower one of -g, so each solve sums lower tails.  A row
+    with finite (lower, upper) ``starts`` takes one Newton step from them
+    (:func:`_polish`); every other row, and one whose step does not settle,
+    is solved by :func:`_mixture_quantile`, from the moment-matched start
+    or from its given one."""
+    z = ndtri(tail)
+    spread = np.sqrt(var)
+    given = np.zeros(mu.shape[0], bool) if starts is None else np.isfinite(starts[0])
+    rows = np.flatnonzero(given)
+    take = slice(None) if rows.size == mu.shape[0] else rows  # a view where every row is given
+    bounds = []
+    for sign, start in ((1.0, mean + sd * z), (-1.0, sd * z - mean)):
+        signed = mu if sign > 0 else -mu
+        solve = ~given
+        if rows.size:
+            guess = sign * starts[0 if sign > 0 else 1][rows]
+            step, settled = _polish(signed[take], spread[take], weights, tail, guess, sd[take])
+            start[rows] = np.where(settled, step, guess)
+            solve[rows[~settled]] = True
+        if solve.all():
+            start = _mixture_quantile(signed, spread, weights, tail, start, sd)
+        elif solve.any():
+            start[solve] = _mixture_quantile(signed[solve], spread[solve], weights, tail,
+                                             start[solve], sd[solve])
+        bounds.append(sign * start)
+    return bounds
+
+
+def _polish(mu: np.ndarray, sd: np.ndarray, weights: np.ndarray, tail: float, t: np.ndarray,
+            scale: np.ndarray):
+    """One Newton step on each row's mixture CDF from ``t``, close to its
+    root: (the step's end, whether it settled by :func:`_mixture_quantile`'s
+    rules).  A start within d of the root lands within about d^2 / scale,
+    so a step within ``_QUANTILE_SETTLED`` of ``scale`` is taken as the
+    root; no bracket is formed."""
+    gap, slope = _cdf_pass(mu, np.maximum(sd, np.finfo(float).tiny), weights, tail, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nxt = t - gap / slope
+    eps = 4.0 * np.finfo(float).eps
+    close = np.abs(gap) <= eps * tail
+    nxt[close] = t[close]
+    step = np.abs(nxt - t)
+    settled = close | (step <= _QUANTILE_SETTLED * scale) | (step <= eps * (np.abs(nxt) + scale))
+    return nxt, settled
+
+
+def _chebyshev_bounds(fit: PosteriorFit, cells: np.ndarray, q: int, tail: float):
+    """Interval bounds of g^(q) at ``_CHEB_NODES`` first-kind Chebyshev
+    nodes of the offset, in every cell of :func:`cell_offsets` (1..k+1)
+    that ``cells`` names more often than that: (slot, nodes, lower, upper),
+    slot[c] the row of cell c in the (cells, nodes) arrays or -1; None
+    where no cell qualifies.  Cell 0 is the single point s_0.  The node
+    solves start from their moments, as every x outside such cells does."""
+    basis = fit.basis
+    ks, k = basis.knot_set, basis.size
+    busy = np.flatnonzero(np.bincount(cells, minlength=k + 2)[1:] > _CHEB_NODES) + 1
+    if busy.size == 0:
+        return None
+    widths = np.concatenate(([0.0], ks.spacings, [ks.region_end - ks.knots[-1]]))
+    nodes = widths[busy, None] * _CHEB_UNIT
+    lower, upper = np.empty(nodes.size), np.empty(nodes.size)
+    for at, mu, var in _state_moments(fit, np.repeat(busy, _CHEB_NODES), nodes.ravel(), q):
+        mean, sd = _mixture_moments(mu, var, fit.weights)
+        lower[at], upper[at] = _mixture_bounds(mu, var, fit.weights, tail, mean, sd)
+    slot = np.full(k + 2, -1)
+    slot[busy] = np.arange(busy.size)
+    return slot, nodes, lower.reshape(nodes.shape), upper.reshape(nodes.shape)
+
+
+def _chebyshev_starts(solved, cells: np.ndarray, offsets: np.ndarray):
+    """(lower, upper) starts at the locations ``cells``, ``offsets`` from
+    the barycentric interpolant of their cell's node bounds ``solved``
+    (:func:`_chebyshev_bounds`), NaN in cells without nodes (Berrut &
+    Trefethen 2004, SIAM Rev. 46(3)).  An x on a node takes its value."""
+    slot, nodes, lower, upper = solved
+    which = slot[cells]
+    inside = np.flatnonzero(which >= 0)
+    which = which[inside]
+    diff = offsets[inside, None] - nodes[which]
+    hit_row, hit_node = np.nonzero(diff == 0.0)
+    diff[hit_row, hit_node] = 1.0  # replaced below
+    coef = _CHEB_WEIGHTS / diff
+    total = coef.sum(axis=1)
+    starts = np.full((2, cells.size), np.nan)
+    for start, values in zip(starts, (lower, upper)):
+        values = values[which]
+        start[inside] = np.einsum("ij,ij->i", coef, values) / total
+        start[inside[hit_row]] = values[hit_row, hit_node]
+    return starts
 
 
 @dataclass
@@ -1265,13 +1538,20 @@ def posterior_function(
     The mean and SD are the mixture's (as :func:`posterior_moments` gives
     them), and the interval bounds solve sum_j w_j Phi((t - mu_j) / sd_j) =
     alpha at the decimal tails of ``level`` (0.025 and 0.975 for 0.95), by
-    safeguarded Newton from the moment-matched start.  ``transform='exp'``
+    safeguarded Newton (:func:`_mixture_quantile`).  In a cell holding more
+    than ``_CHEB_NODES`` xs (cell 0, the single point s_0, aside) the
+    bounds are solved first at that many first-kind Chebyshev nodes of the
+    offset, where they are analytic, and each x there takes one Newton
+    step from the nodes' barycentric interpolant, about one pass over the
+    grid per x; every other x starts from its moment-matched guess, so a
+    call with no such cell solves each x as on its own.  ``transform='exp'``
     reports exp(g) for q = 0: a lognormal mixture, whose mean and SD have
     closed forms and whose bounds are exp of the plain ones.  For q = 1,
     g' * exp(g) has no closed form, and that curve alone is the sampled
     one of :func:`posterior_paths`.  The cost follows k and the grid size,
     not the number of samples (see :func:`posterior_moments`), and the
-    bounds add a few Newton steps per x, each O(G).  Arguments, ``xs`` included (finite and
+    bounds add one to a few Newton steps per x, each O(G).  Arguments,
+    ``xs`` included (finite and
     inside the region), are checked before any curve is evaluated, and the
     fit must hold samples: every curve's ``samples`` (samples x len(xs))
     are its draws' paths, formed as :func:`posterior_paths` forms them on
@@ -1281,16 +1561,15 @@ def posterior_function(
     if transform == "exp" and q == 1:
         return posterior_paths(fit, xs, q, transform, level)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    cells, offsets = cell_offsets(fit.basis, xs)
     mean, sd, lower, upper = (np.empty(xs.size) for _ in range(4))
     tail = _interval_probs(level)[0]
-    z = ndtri(tail)
     weights = fit.weights
-    for at, mu, var in _point_moments(fit, xs, q):
+    solved = _chebyshev_bounds(fit, cells, q, tail)
+    for at, mu, var in _point_moments(fit, xs, q, (cells, offsets)):
         mean[at], sd[at] = _mixture_moments(mu, var, weights)
-        spread = np.sqrt(var)
-        # the upper bound is minus the lower one of -g, so each solve sums lower tails
-        lower[at] = _mixture_quantile(mu, spread, weights, tail, mean[at] + sd[at] * z, sd[at])
-        upper[at] = -_mixture_quantile(-mu, spread, weights, tail, sd[at] * z - mean[at], sd[at])
+        starts = None if solved is None else _chebyshev_starts(solved, cells[at], offsets[at])
+        lower[at], upper[at] = _mixture_bounds(mu, var, weights, tail, mean[at], sd[at], starts)
         if transform == "exp":  # lognormal means m_j and variances m_j^2 (e^v_j - 1)
             means = np.exp(mu + 0.5 * var)
             mean[at], sd[at] = _mixture_moments(means, means * means * np.expm1(var), weights)

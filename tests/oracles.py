@@ -38,7 +38,7 @@ from typing import Callable
 import mpmath
 import numpy as np
 from scipy import integrate, linalg, optimize
-from scipy.special import gammaln, logsumexp, ndtr
+from scipy.special import gammaln, logsumexp, ndtr, ndtri
 
 from osplines import exact, inference
 from osplines.aghq import AdaptedGrid
@@ -648,6 +648,105 @@ def mixture_quantiles_longdouble(mus, var, weights, prob, steps=200):
         below = mixture_cdf_longdouble(mus, var, weights, mid) < prob
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return (lo + hi) / 2
+
+
+def mixture_quantile_per_x(mu, sd, weights, tail, start, scale):
+    """The mixture-CDF root each x once solved on its own, kept as the
+    reference for the Chebyshev-started bounds: safeguarded Newton from
+    ``start`` within the bracket of the points' own quantiles, stopping at
+    4 eps of ``tail`` in F, at 4 eps of |t| + ``scale`` in the step, or at
+    an unbisected step within 1e-8 ``scale``."""
+    own = mu + sd * ndtri(tail)
+    lo, hi = own.min(axis=1), own.max(axis=1)
+    t = np.clip(start, lo, hi)
+    sd = np.maximum(sd, np.finfo(float).tiny)
+    eps = 4.0 * np.finfo(float).eps
+    active = np.flatnonzero(lo < hi)
+    for _ in range(100):
+        if active.size == 0:
+            return t
+        now = t[active]
+        u = (now[:, None] - mu[active]) / sd[active]
+        gap = ndtr(u) @ weights - tail
+        slope = (np.exp(-0.5 * u * u) / sd[active]) @ weights * (1.0 / math.sqrt(2.0 * math.pi))
+        low, high = lo[active], hi[active]
+        low[gap < 0] = now[gap < 0]
+        high[gap > 0] = now[gap > 0]
+        lo[active], hi[active] = low, high
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = now - gap / slope
+        outside = ~((nxt >= low) & (nxt <= high))
+        nxt[outside] = 0.5 * (low[outside] + high[outside])
+        close = np.abs(gap) <= eps * tail
+        nxt[close] = now[close]
+        t[active] = nxt
+        step = np.abs(nxt - now)
+        settled = step <= eps * (np.abs(nxt) + scale[active])
+        settled |= ~outside & (step <= 1e-8 * scale[active])
+        active = active[~(close | settled)]
+    raise AssertionError("the per-x mixture quantile did not converge")
+
+
+def posterior_bounds_per_x(fit, xs, q=0, level=0.95):
+    """(lower, upper) of ``posterior_function`` as every x once solved them:
+    :func:`mixture_quantile_per_x` from the moment-matched start, over the
+    library's own per-point moments."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    tail = inference._interval_probs(level)[0]
+    z = ndtri(tail)
+    lower, upper = np.empty(xs.size), np.empty(xs.size)
+    for at, mu, var in inference._point_moments(fit, xs, q):
+        mean, sd = inference._mixture_moments(mu, var, fit.weights)
+        spread = np.sqrt(var)
+        lower[at] = mixture_quantile_per_x(mu, spread, fit.weights, tail, mean + sd * z, sd)
+        upper[at] = -mixture_quantile_per_x(-mu, spread, fit.weights, tail, sd * z - mean, sd)
+    return lower, upper
+
+
+def pencil_from_design(model: LatentModel) -> "inference.GaussianPencil":
+    """``GaussianPencil.from_model`` as it read the data through the dense
+    design X: its Choleskys, eigendecomposition, reference steps and
+    residuals run on X itself, O(n k^2), the reference for the per-cell
+    statistics."""
+    X, y, k = model.design, model.response, model.n_spline
+    sigma0, kappa0 = model.split_theta(model.theta_start())
+    b = model.prior_precision_diag(1.0, kappa0)
+    lik_hess = (X.T * (1.0 / kappa0**2)) @ X
+    chol1 = linalg.cholesky(lik_hess + np.diag(b), lower=True)
+    V = linalg.solve_triangular(chol1, np.eye(b.size), lower=True).T
+    xv = X @ V
+    va = xv.T @ xv / kappa0**2 + V[k:].T @ (b[k:, None] * V[k:])
+    vb = V[:k].T @ (b[:k, None] * V[:k])
+    chol2 = linalg.cholesky(va + vb, lower=True)
+    inv2 = linalg.solve_triangular(chol2, np.eye(b.size), lower=True)
+    lam, U = np.linalg.eigh(inv2 @ vb @ inv2.T)
+    W = V @ (inv2.T @ U)
+    q0, s0 = model.prior_precision_diag(sigma0, kappa0), sigma0**-2
+    ref = np.zeros_like(b)
+    for _ in range(2):
+        grad = X.T @ (y - X @ ref) / kappa0**2 - q0 * ref
+        ref = ref + W @ ((W.T @ grad) / (1.0 + (s0 - 1.0) * lam))
+    resid, bw = y - X @ ref, b * ref
+    return inference.GaussianPencil(
+        model=model, ref=ref, W=W, lam=lam, M=W[k:].T * np.sqrt(b[k:]),
+        gx=W.T @ (X.T @ resid) / kappa0**2, f=W[:k].T @ bw[:k], gp=W[k:].T @ bw[k:],
+        kappa0=kappa0,
+        log_det_c=2.0 * float(np.sum(np.log(np.diag(chol1))) + np.sum(np.log(np.diag(chol2)))),
+        rss=float(resid @ resid),
+    )
+
+
+def design_products_longdouble(model: LatentModel, pairs, shift=0.0):
+    """Entries (i, j) in ``pairs`` of X'X, the diagonal of X'X, X'y and
+    ||y||^2, of the dense design and the response less ``shift`` (taken
+    in doubles, as the library takes it), summed in extended precision
+    (``np.longdouble``) column by column: a full extended-precision X'X
+    has no BLAS and takes minutes at k = 1000."""
+    X = model.design.astype(np.longdouble)
+    y = (model.response - shift).astype(np.longdouble)
+    rows, cols = pairs
+    return ((X[:, rows] * X[:, cols]).sum(axis=0), (X * X).sum(axis=0),
+            (X * y[:, None]).sum(axis=0), y @ y)
 
 
 def gaussian_marginal_exact(model: LatentModel, theta=()) -> float:

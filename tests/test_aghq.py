@@ -157,3 +157,28 @@ def test_count_family_grid_is_solved_in_serpentine_order_to_cold_solve_weights(m
     np.testing.assert_allclose(grid.log_post_values, cold, rtol=0, atol=2e-7)
     weights = np.exp(cold + grid.log_adjust - np.logaddexp.reduce(cold + grid.log_adjust))
     np.testing.assert_allclose(fit.weights, weights, rtol=2e-7)
+
+
+@pytest.mark.parametrize("offset", [0.0, -3e4, -3e6])
+def test_grid_weights_sum_to_one_at_any_scale(offset):
+    """A 2-d Gaussian log posterior offset by up to -3e6 on a 10 x 10 grid:
+    the weights sum to one within 1e-14 and equal an extended-precision
+    normalization of the same computed values to 1e-14 relative.  (The
+    values round by up to 5e-10 at -3e6, so the referee takes them as
+    computed, with their log adjustment, in doubles.)  Normalized by logsumexp, their sum missed one by 1.6e-10
+    at -3e6, and by more than multinomial's 1e-12 at -3e4."""
+    prec = np.array([[4.0, 1.0], [1.0, 2.0]])
+    centre = np.array([0.3, -0.2])
+
+    def log_post(theta):
+        dev = theta - centre
+        return offset - 0.5 * float(dev @ prec @ dev), None
+
+    grid = adapt_quadrature(log_post, [0.0, 0.0], 10)
+    assert abs(np.sum(grid.weights) - 1.0) <= 1e-14
+    v = (grid.log_post_values + grid.log_adjust).astype(np.longdouble)  # as computed
+    mass = np.exp(v - np.max(v))
+    want = mass / np.sum(mass)
+    assert np.max(np.abs(grid.weights - want) / want) <= 1e-14
+    assert grid.log_normconst == pytest.approx(float(np.max(v) + np.log(np.sum(mass))),
+                                               rel=1e-15)

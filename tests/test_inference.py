@@ -51,6 +51,7 @@ from oracles import (
     newton_predicted_gain,
     point_moments,
     point_moments_longdouble,
+    posterior_bounds_per_x,
     posterior_function_reference,
     posterior_moments_dense,
     precision_extremes_mp,
@@ -1186,13 +1187,21 @@ def mixture_case(name, num_samples=3000):
 
 
 def curve_xs(fit):
-    """Few xs (at most one per cell, so the dense design serves them) and
-    many (the per-cell states serve them), knots and region ends included."""
+    """Few xs (at most one per cell, so the dense design serves them), many
+    (the per-cell states serve them) and mixed: the many plus more than
+    twice ``_CHEB_NODES`` in the second and the last cell, whose bounds
+    start from Chebyshev-node solves, beside cells with fewer than
+    ``_CHEB_NODES``; knots and region ends included."""
     ks = fit.basis.knot_set
     few = np.concatenate(([ks.region_start], ks.knots[::4], [0.37 * ks.region_end]))
     many = np.linspace(ks.region_start, ks.region_end, 3 * ks.size + 7)
+    nodes = inference._CHEB_NODES
+    mixed = np.concatenate([many, np.linspace(ks.knots[0], ks.knots[1], 2 * nodes + 5),
+                            np.linspace(ks.knots[-2], ks.knots[-1], 2 * nodes + 3)])
     assert few.size <= ks.size + 2 < many.size
-    return few, many
+    counts = np.bincount(inference.cell_offsets(fit.basis, mixed)[0])
+    assert counts[2] > 2 * nodes and counts[-1] > 2 * nodes and np.min(counts[3:-1]) < nodes
+    return few, many, mixed
 
 
 MIXTURE_CASES = ["kappa fixed", "kappa free", "poisson_od"]
@@ -1270,7 +1279,7 @@ def test_sampled_and_exact_curves_differ_by_monte_carlo_error(case):
     within 0.5 posterior SDs, for every curve posterior_function computes
     exactly; exp at q = 1 is the sampled curve itself."""
     fit = mixture_case(case)
-    _, xs = curve_xs(fit)
+    xs = curve_xs(fit)[1]
     for q, transform in ((0, None), (1, None), (2, None), (0, "exp")):
         exact = posterior_function(fit, xs, q, transform=transform)
         sampled = posterior_paths(fit, xs, q, transform=transform)
@@ -1286,16 +1295,60 @@ def test_sampled_and_exact_curves_differ_by_monte_carlo_error(case):
 
 def test_posterior_function_xs_layouts_give_the_same_summaries():
     """Unsorted, repeated, single and empty xs give the summaries of the
-    same xs in sorted order, through the per-cell states and the design."""
+    same xs in sorted order, through the per-cell states and the design.
+    On 401 points (16 to a cell, 48 with the repeats) the full layouts
+    start their bounds from Chebyshev-node solves and the short ones do
+    not."""
     fit = mixture_case("kappa free", num_samples=10)
-    grid = np.linspace(0.0, 20.0, 101)
-    ref = posterior_function(fit, grid, 1)
-    pick = np.random.default_rng(8).permutation(np.repeat(np.arange(grid.size), 3))
-    for at in (pick, pick[:27], pick[:1], pick[:0]):
-        got = posterior_function(fit, grid[at], 1)
-        for name in ("mean", "sd", "lower", "upper"):
-            npt.assert_allclose(getattr(got, name), getattr(ref, name)[at],
-                                rtol=0, atol=1e-12 * np.max(ref.sd))
+    for grid in (np.linspace(0.0, 20.0, 101), np.linspace(0.0, 20.0, 401)):
+        ref = posterior_function(fit, grid, 1)
+        pick = np.random.default_rng(8).permutation(np.repeat(np.arange(grid.size), 3))
+        for at in (pick, pick[:27], pick[:1], pick[:0]):
+            got = posterior_function(fit, grid[at], 1)
+            for name in ("mean", "sd", "lower", "upper"):
+                npt.assert_allclose(getattr(got, name), getattr(ref, name)[at],
+                                    rtol=0, atol=1e-12 * np.max(ref.sd))
+
+
+@pytest.mark.parametrize("case", MIXTURE_CASES)
+def test_bounds_in_quiet_cells_are_the_per_x_solve(case):
+    """With at most ``_CHEB_NODES`` xs in every cell the bounds are bit for
+    bit those of each x solved on its own from its moment-matched start
+    (``posterior_bounds_per_x``), and where some cells hold more they stand
+    within 1e-12 posterior SDs of it."""
+    fit = mixture_case(case, num_samples=10)
+    few, many, mixed = curve_xs(fit)
+    for q in (0, 1, 2):
+        for xs in (few, many):
+            curve = posterior_function(fit, xs, q)
+            lower, upper = posterior_bounds_per_x(fit, xs, q)
+            npt.assert_array_equal(curve.lower, lower)
+            npt.assert_array_equal(curve.upper, upper)
+        curve = posterior_function(fit, mixed, q)
+        free = curve.sd > 0
+        for bound, want in zip((curve.lower, curve.upper), posterior_bounds_per_x(fit, mixed, q)):
+            assert np.max(np.abs(bound - want)[free] / curve.sd[free]) <= 1e-12
+
+
+def test_chebyshev_starts_interpolate_the_node_bounds():
+    """The barycentric interpolant through ``_CHEB_NODES`` first-kind nodes
+    reproduces a polynomial of degree ``_CHEB_NODES`` - 1 in the offset to
+    rounding, takes a node's value exactly at that node, and leaves NaN in
+    cells without nodes."""
+    m = inference._CHEB_NODES
+    widths = np.array([0.5, 2.0])
+    nodes = widths[:, None] * inference._CHEB_UNIT
+    poly = np.polynomial.Polynomial(np.random.default_rng(2).normal(size=m))
+    slot = np.array([-1, 0, -1, 1])
+    solved = (slot, nodes, poly(nodes), -poly(nodes))
+    cells = np.array([1, 1, 1, 2, 3, 3, 3])
+    offsets = np.array([0.0, 0.2, nodes[0, 3], 0.7, 0.0, 1.3, nodes[1, -1]])
+    lower, upper = inference._chebyshev_starts(solved, cells, offsets)
+    inside = slot[cells] >= 0
+    npt.assert_allclose(lower[inside], poly(offsets[inside]), rtol=1e-12, atol=1e-12)
+    npt.assert_array_equal(upper[inside], -lower[inside])
+    assert lower[2] == poly(nodes)[0, 3] and lower[6] == poly(nodes)[1, -1]
+    assert np.all(np.isnan(lower[~inside])) and np.all(np.isnan(upper[~inside]))
 
 
 def kappa_free_gaussian_fit(n, num_quad):

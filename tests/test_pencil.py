@@ -17,6 +17,7 @@ from osplines import (
     GaussianPencil,
     InvalidArgumentError,
     IterationError,
+    KnotSet,
     OSplineBasis,
     PSDSpec,
     aghq_fit,
@@ -33,7 +34,15 @@ from osplines import (
     sum_coded_design,
 )
 from osplines import inference
-from oracles import gaussian_log_marginal_mp, gaussian_mode_dense, grid_weights, newton_oracle
+from oracles import (
+    design_products_longdouble,
+    posterior_bounds_per_x,
+    gaussian_log_marginal_mp,
+    gaussian_mode_dense,
+    grid_weights,
+    newton_oracle,
+    pencil_from_design,
+)
 
 LOG_SIGMAS = (-3.0, -1.0, 0.0, 1.0, 2.5)
 # log kappa less its prior median's log: c = 1 - kappa0^2 / kappa^2 from -19 to 0.95
@@ -226,6 +235,20 @@ def test_newton_stops_at_its_rounding_floor(offset, kappa):
     assert np.max(np.abs(approx.mode - ref.mode) / sd) <= 1e-2
 
 
+def test_fit_at_a_large_log_marginal_returns():
+    """n = 40, k = 10, kappa fixed at 1e-4 against unit noise on 15 nodes:
+    the log marginal is -1.2e9, where a double's spacing is 2.4e-7.  Grid
+    weights normalized by logsumexp summed to more than one by over their
+    last entry, so ``multinomial`` raised ``ValueError`` even for no draws;
+    normalized about the largest value, they sum to one and the fit
+    returns."""
+    model = sine_model(n=40, k=10, kappa=1e-4)
+    fit = aghq_fit(model, num_quad=15, num_samples=100, seed=1)
+    assert abs(np.sum(fit.weights) - 1.0) <= 1e-14
+    assert fit.log_marginal < -1e9
+    assert fit.samples.shape == (100, model.n_coef)
+
+
 @pytest.mark.parametrize("median", [0.01, 100.0])
 def test_kappa_free_with_its_prior_median_far_from_the_noise_sd(median):
     """Unit noise fitted with kappa free and its prior median, the pencil's
@@ -401,3 +424,122 @@ def test_formed_fields_keep_their_meaning():
     npt.assert_array_equal(moved.mode, approx.mode + 1.0)
     assert moved.log_joint_at_mode == 0.0
     npt.assert_array_equal(moved.precision, approx.precision)
+
+
+LAYOUTS = ["fixed effects", "offset 1e6", "uneven knots", "k = 1000", "empty cells",
+           "one-x cells", "repeated xs", "x at the region start"]
+
+
+def layout_model(layout):
+    """A sine fitted with kappa fixed at 1, order 3 on (0, 20), n about 400
+    and k = 20 unless the layout says otherwise: equal knots and
+    uniform xs but for the one thing named."""
+    rng = np.random.default_rng(41)
+    knots, x, kwargs = build_equal_knots(0.0, 20.0, 20), rng.uniform(0.0, 20.0, 400), {}
+    if layout == "fixed effects":
+        kwargs.update(fixed_design=sum_coded_design(np.arange(x.size) % 3)[0], fixed_prior_sd=2.0)
+    elif layout == "uneven knots":  # cell widths from 0.01 to 2.6, and a cell past the last knot
+        knots = KnotSet(0.0, 20.0, np.sort(rng.uniform(0.0, 19.0, 29)))
+    elif layout == "k = 1000":  # 40 xs in each of 30 cells, at most a few in the others
+        knots = build_equal_knots(0.0, 20.0, 1000)
+        busy = rng.choice(1000, 30, replace=False) * 0.02
+        x = np.concatenate([(busy[:, None] + rng.uniform(0.0, 0.02, (30, 40))).ravel(),
+                            rng.uniform(0.0, 20.0, 300)])
+    elif layout == "empty cells":
+        x = np.concatenate([rng.uniform(0.0, 5.0, 200), rng.uniform(12.0, 20.0, 200)])
+    elif layout == "one-x cells":
+        x = np.concatenate([np.arange(10) + 0.5, rng.uniform(10.0, 20.0, 300)])
+    elif layout == "repeated xs":
+        x = np.repeat(rng.uniform(0.0, 20.0, 50), 8)
+    elif layout == "x at the region start":
+        x = np.concatenate([np.zeros(12), x[12:]])
+    y = math.sqrt(3.0) * np.sin(x / 2.0) + rng.normal(0.0, 1.0, x.size)
+    y = y + 1e6 if layout == "offset 1e6" else y
+    return build_model(
+        x, y, OSplineBasis(3, knots), "gaussian", family_hyper_fixed=1.0,
+        sigma_prior=prior_from_psd(PSDSpec(h=5.0, order=3), 3.0, 0.01), **kwargs,
+    )
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_cell_statistics_match_the_design_products(layout):
+    """The per-cell QR statistics (Z, Q'y, ||y_perp||^2) against the dense
+    design's products summed in extended precision, with the response
+    taken whole and less its mean (as the pencil takes it): each entry of
+    Z'Z within 1e-13 of sqrt(G_ii G_jj), G = X'X, on the diagonal and 3000
+    sampled pairs; each of Z'(Q'y) within 1e-13 of sqrt(G_ii) ||y||; and
+    ||Q'y||^2 + ||y_perp||^2 within 1e-13 of ||y||^2.  Z has no more rows
+    than X or its columns."""
+    model = layout_model(layout)
+    m = model.n_coef
+    pairs = np.random.default_rng(5).integers(0, m, (2, 3000))
+    for shift in (0.0, float(np.mean(model.response))):
+        Z, qty, perp = inference._cell_statistics(model, shift)
+        assert Z.shape[0] <= min(model.n_obs, m) and Z.shape[1] == m
+        gram, diag, xty, yy = design_products_longdouble(model, pairs, shift)
+        ztz = np.einsum("ri,ri->i", Z[:, pairs[0]], Z[:, pairs[1]])
+        assert np.all(np.abs(ztz - gram) <= 1e-13 * np.sqrt(diag[pairs[0]] * diag[pairs[1]]))
+        assert np.all(np.abs(np.sum(Z * Z, axis=0) - diag) <= 1e-13 * diag)
+        assert np.all(np.abs(Z.T @ qty - xty) <= 1e-13 * np.sqrt(diag * yy))
+        assert abs(qty @ qty + perp - yy) <= 1e-13 * yy
+
+
+@pytest.mark.parametrize("kappa", ["kappa fixed", "kappa free"])
+@pytest.mark.parametrize("layout", [name for name in LAYOUTS if name != "k = 1000"])
+def test_pencil_from_cell_statistics_matches_the_design_pencil(layout, kappa):
+    """The pencil set up from the per-cell statistics against the one set
+    up from the dense design (``pencil_from_design``), across theta: log
+    posterior values within 1e-10 relative, modes within 1e-10 in the
+    posterior's own norm (entrywise they differ by up to 8e-10 of the
+    largest entry at log sigma 2.5 with kappa free, where H is worst
+    conditioned; both stand within 4e-12 of Newton's there), and
+    covariances B diag(1/s) B' within 1e-10 of their largest entry."""
+    model = layout_model(layout)
+    model = kappa_free(model) if kappa == "kappa free" else model
+    pencil, ref = GaussianPencil.from_model(model), pencil_from_design(model)
+    for theta in grid_thetas(model):
+        (value, approx), (want, ref_approx) = pencil.log_post(theta), ref.log_post(theta)
+        assert value == pytest.approx(want, rel=1e-10)
+        assert energy_error(approx.mode, ref_approx) <= 1e-10
+        cov, ref_cov = ((a.cov_basis / a.cov_scale) @ a.cov_basis.T for a in (approx, ref_approx))
+        assert np.max(np.abs(cov - ref_cov)) <= 1e-10 * np.max(np.abs(ref_cov))
+
+
+def test_gaussian_fit_forms_no_n_by_k_array():
+    """A kappa-fixed build, fit and q = 0 curve at n = 2e5, k = 100 peak
+    under 40 MB in tracemalloc (25 MB measured), where the design alone
+    would take 165 MB and the path through it peaked at 480 MB; the fit
+    never forms the model's design."""
+    import tracemalloc
+
+    n = 200_000
+    x = np.sort(np.random.default_rng(3).uniform(0.0, 20.0, n))
+    y = np.sin(x) + np.random.default_rng(4).standard_normal(n)
+    basis = OSplineBasis(3, build_equal_knots(0.0, 20.0, 100))
+    prior = prior_from_psd(PSDSpec(h=5.0, order=3), 3.0, 0.01)
+    tracemalloc.start()
+    try:
+        model = build_model(x, y, basis, "gaussian", sigma_prior=prior, family_hyper_fixed=1.0)
+        fit = aghq_fit(model, num_quad=10)
+        curve = posterior_function(fit, x, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert "design" not in vars(model)
+    assert np.all(curve.lower < curve.mean) and np.all(curve.mean < curve.upper)
+
+
+def test_chebyshev_bounds_reach_uneven_cells_and_the_cell_past_the_last_knot():
+    """On uneven knots with the region running past the last knot, 2000
+    xs put more than ``_CHEB_NODES`` in most cells, the last one included:
+    the bounds of g, g' and g'' stand within 1e-12 posterior SDs of each x
+    solved on its own."""
+    fit = aghq_fit(kappa_free(layout_model("uneven knots")), num_quad=4, num_samples=10)
+    xs = np.linspace(0.0, 20.0, 2000)
+    cells = inference.cell_offsets(fit.basis, xs)[0]
+    assert np.sum(cells == fit.basis.size + 1) > inference._CHEB_NODES
+    for q in (0, 1, 2):
+        curve = posterior_function(fit, xs, q)
+        for bound, want in zip((curve.lower, curve.upper), posterior_bounds_per_x(fit, xs, q)):
+            assert np.max(np.abs(bound - want) / curve.sd) <= 1e-12
