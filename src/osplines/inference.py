@@ -802,9 +802,11 @@ class GaussianPencil:
     rest, no n x k array.  At c = 0 the covariance basis is the ``W`` every
     such point shares, with scale D; elsewhere it is W D^-1/2 F with scale
     1, F = (I + c N N')^-1/2, N = D^-1/2 M, formed on first read at
-    O(k^2 r), and the precision u' ``lik_hess`` + diag(q) on read, from
-    the model's design (formed then, if not before).  The mode is exact:
-    zero Newton iterations, predicted gain 0.
+    O(k^2 r), and the precision u' ``lik_hess`` + diag(q) on read, with
+    ``lik_hess`` = Z'Z / kappa0^2: Newton's X'X / kappa0^2 bit for bit
+    where no cell was compressed (Z is then the design's rows), and to
+    rounding elsewhere.  The mode is exact: zero Newton iterations,
+    predicted gain 0.
     """
 
     model: LatentModel
@@ -816,14 +818,9 @@ class GaussianPencil:
     f: np.ndarray
     gp: np.ndarray
     kappa0: float
+    lik_hess: np.ndarray  # Z'Z / kappa0^2, X'X / kappa0^2 to rounding
     log_det_c: float
     rss: float  # ||r0||^2
-
-    @cached_property
-    def lik_hess(self) -> np.ndarray:
-        """X'X / kappa0^2 from the design, formed as newton_mode forms it."""
-        X = self.model.design
-        return _readonly((X.T * (1.0 / self.kappa0**2)) @ X)
 
     @classmethod
     def from_model(cls, model: LatentModel) -> "GaussianPencil":
@@ -840,8 +837,9 @@ class GaussianPencil:
         k = model.n_spline
         sigma0, kappa0 = model.split_theta(model.theta_start())
         b = model.prior_precision_diag(1.0, kappa0)  # (d, 1/tau^2): the diagonal of B + P
+        lik_hess = (Z.T * (1.0 / kappa0**2)) @ Z
         try:
-            chol1 = linalg.cholesky(_gaussian_precision((Z.T * kappa0**-2) @ Z, 1.0, b), lower=True)
+            chol1 = linalg.cholesky(_gaussian_precision(lik_hess, 1.0, b), lower=True)
             V = _lower_inverse(chol1).T  # L1^-T
             zv = Z @ V  # V'(C - B)V through Z, and V'BV
             va = zv.T @ zv / kappa0**2 + V[k:].T @ (b[k:, None] * V[k:])
@@ -865,7 +863,7 @@ class GaussianPencil:
         return cls(
             model=model, ref=ref, W=W, lam=lam, M=W[k:].T * np.sqrt(b[k:]),
             gx=W.T @ (Z.T @ resid) / kappa0**2, f=W[:k].T @ bw[:k], gp=W[k:].T @ bw[k:],
-            kappa0=kappa0,
+            kappa0=kappa0, lik_hess=_readonly(lik_hess),
             log_det_c=2.0 * float(np.sum(np.log(np.diag(chol1))) + np.sum(np.log(np.diag(chol2)))),
             rss=float(resid @ resid) + perp,
         )

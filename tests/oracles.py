@@ -730,7 +730,7 @@ def pencil_from_design(model: LatentModel) -> "inference.GaussianPencil":
     return inference.GaussianPencil(
         model=model, ref=ref, W=W, lam=lam, M=W[k:].T * np.sqrt(b[k:]),
         gx=W.T @ (X.T @ resid) / kappa0**2, f=W[:k].T @ bw[:k], gp=W[k:].T @ bw[k:],
-        kappa0=kappa0,
+        kappa0=kappa0, lik_hess=lik_hess,
         log_det_c=2.0 * float(np.sum(np.log(np.diag(chol1))) + np.sum(np.log(np.diag(chol2)))),
         rss=float(resid @ resid),
     )

@@ -508,8 +508,9 @@ def test_pencil_from_cell_statistics_matches_the_design_pencil(layout, kappa):
 def test_gaussian_fit_forms_no_n_by_k_array():
     """A kappa-fixed build, fit and q = 0 curve at n = 2e5, k = 100 peak
     under 40 MB in tracemalloc (25 MB measured), where the design alone
-    would take 165 MB and the path through it peaked at 480 MB; the fit
-    never forms the model's design."""
+    would take 165 MB and the path through it peaked at 480 MB; neither
+    the fit nor its condition numbers (which the CLI writes) form the
+    model's design."""
     import tracemalloc
 
     n = 200_000
@@ -526,6 +527,7 @@ def test_gaussian_fit_forms_no_n_by_k_array():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+    assert max_condition_number(fit) > 1.0
     assert "design" not in vars(model)
     assert np.all(curve.lower < curve.mean) and np.all(curve.mean < curve.upper)
 
