@@ -670,7 +670,8 @@ def _triangularize(cells: np.ndarray, rows: np.ndarray):
 
     ``cells`` is sorted and ``rows`` is (len(cells), w).  A cell's rows are
     cut into runs of at most twice the mean rows per cell (at least w, at
-    most ``_QR_ROWS``), so padding costs at most as many rows as the data.
+    most ``_QR_ROWS``), so padding adds fewer rows than one run per cell,
+    about twice the data's at most.
     The runs are zero-padded and factored by batched ``np.linalg.qr``,
     about ``_QR_FLOATS`` floats at a time.  A padded row leaves every
     Householder reflection untouched, so the R rows past a run's length
