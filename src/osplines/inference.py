@@ -669,9 +669,10 @@ def _triangularize(cells: np.ndarray, rows: np.ndarray):
     """Replace each run of rows of one cell by the R of its QR.
 
     ``cells`` is sorted and ``rows`` is (len(cells), w).  A cell's rows are
-    cut into runs of at most twice the mean rows per cell (at least w, at
-    most ``_QR_ROWS``), so padding adds fewer rows than one run per cell,
-    about twice the data's at most.
+    cut into runs of at most twice the mean rows per cell, capped at
+    ``_QR_ROWS`` but never under 2w, so padding adds fewer rows than one
+    run per cell, about twice the data's at most, and a cell's rows shrink
+    at least by half with each call until one run holds them.
     The runs are zero-padded and factored by batched ``np.linalg.qr``,
     about ``_QR_FLOATS`` floats at a time.  A padded row leaves every
     Householder reflection untouched, so the R rows past a run's length
@@ -680,7 +681,7 @@ def _triangularize(cells: np.ndarray, rows: np.ndarray):
     """
     n, w = rows.shape
     counts = np.bincount(cells)
-    height = min(_QR_ROWS, max(w, 2 * -(-n // np.count_nonzero(counts))))
+    height = max(2 * w, min(_QR_ROWS, 2 * -(-n // np.count_nonzero(counts))))
     pos = np.arange(n) - (np.cumsum(counts) - counts)[cells]
     starts = pos % height == 0
     heads, piece = np.flatnonzero(starts), np.cumsum(starts) - 1
@@ -1364,10 +1365,7 @@ def _mixture_quantile(mu: np.ndarray, sd: np.ndarray, weights: np.ndarray, tail:
         if active.size == 0:
             return t
         now = t[active]
-        if active.size == t.size:
-            gap, slope = _cdf_pass(mu, sd, weights, tail, now)
-        else:
-            gap, slope = _cdf_pass(mu[active], sd[active], weights, tail, now)
+        gap, slope = _cdf_pass(mu[active], sd[active], weights, tail, now)
         low, high = lo[active], hi[active]
         low[gap < 0] = now[gap < 0]
         high[gap > 0] = now[gap > 0]
@@ -1399,19 +1397,16 @@ def _mixture_bounds(mu: np.ndarray, var: np.ndarray, weights: np.ndarray, tail: 
     spread = np.sqrt(var)
     given = np.zeros(mu.shape[0], bool) if starts is None else np.isfinite(starts[0])
     rows = np.flatnonzero(given)
-    take = slice(None) if rows.size == mu.shape[0] else rows  # a view where every row is given
     bounds = []
     for sign, start in ((1.0, mean + sd * z), (-1.0, sd * z - mean)):
         signed = mu if sign > 0 else -mu
         solve = ~given
         if rows.size:
             guess = sign * starts[0 if sign > 0 else 1][rows]
-            step, settled = _polish(signed[take], spread[take], weights, tail, guess, sd[take])
+            step, settled = _polish(signed[rows], spread[rows], weights, tail, guess, sd[rows])
             start[rows] = np.where(settled, step, guess)
             solve[rows[~settled]] = True
-        if solve.all():
-            start = _mixture_quantile(signed, spread, weights, tail, start, sd)
-        elif solve.any():
+        if solve.any():
             start[solve] = _mixture_quantile(signed[solve], spread[solve], weights, tail,
                                              start[solve], sd[solve])
         bounds.append(sign * start)

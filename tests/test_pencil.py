@@ -427,7 +427,7 @@ def test_formed_fields_keep_their_meaning():
 
 
 LAYOUTS = ["fixed effects", "offset 1e6", "uneven knots", "k = 1000", "empty cells",
-           "one-x cells", "repeated xs", "x at the region start"]
+           "one-x cells", "repeated xs", "x at the region start", "300 fixed effects"]
 
 
 def layout_model(layout):
@@ -453,6 +453,9 @@ def layout_model(layout):
         x = np.repeat(rng.uniform(0.0, 20.0, 50), 8)
     elif layout == "x at the region start":
         x = np.concatenate([np.zeros(12), x[12:]])
+    elif layout == "300 fixed effects":  # rows wider than a QR run, 600 xs in the first cell
+        x = np.concatenate([rng.uniform(0.0, 1.0, 600), x[:100]])
+        kwargs.update(fixed_design=sum_coded_design(np.arange(x.size) % 301)[0], fixed_prior_sd=2.0)
     y = math.sqrt(3.0) * np.sin(x / 2.0) + rng.normal(0.0, 1.0, x.size)
     y = y + 1e6 if layout == "offset 1e6" else y
     return build_model(
